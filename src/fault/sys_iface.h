@@ -21,6 +21,7 @@
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 
 namespace affinity {
 namespace fault {
@@ -47,7 +48,17 @@ class SysIface {
   // The request/response data path (src/svc handlers) and the epoll
   // (re-)arming of held connections.
   virtual ssize_t Read(int core, int fd, void* buf, size_t count);
-  virtual ssize_t Write(int core, int fd, const void* buf, size_t count);
+  // Gathered socket send (sendmsg with MSG_NOSIGNAL): a response's framing
+  // header and payload leave in one call, and so in one TCP segment when
+  // they fit. Returns the total bytes taken across all `iovcnt` buffers,
+  // which may stop inside any of them, or -1 with errno.
+  virtual ssize_t Write(int core, int fd, const iovec* iov, int iovcnt);
+  // One-buffer convenience over Write (not virtual: the seam stays one
+  // write method wide).
+  ssize_t WriteBuf(int core, int fd, const void* buf, size_t count) {
+    iovec iov{const_cast<void*>(buf), count};
+    return Write(core, fd, &iov, 1);
+  }
   virtual int EpollCtl(int core, int epfd, int op, int fd, epoll_event* event);
 
   // The client side of the seam: rt::LoadClient routes its connect(2)

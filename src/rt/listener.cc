@@ -41,6 +41,16 @@ int CreateListenSocket(uint16_t* port, int backlog, bool reuseport, std::string*
     close(fd);
     return -1;
   }
+  // Accepted sockets inherit TCP_NODELAY from the listener, so it is set
+  // once here rather than per accept. A response is one gathered send, but
+  // one too big for a segment (or a short send) leaves a small tail, and
+  // Nagle would hold that tail until the client's delayed ACK (~40 ms) --
+  // fatal for request/response latency.
+  if (setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) < 0) {
+    *error = Errno("setsockopt(TCP_NODELAY)");
+    close(fd);
+    return -1;
+  }
 
   sockaddr_in addr;
   memset(&addr, 0, sizeof(addr));

@@ -327,7 +327,8 @@ LoadClient::ConnOutcome LoadClient::RunRounds(int thread_index, int fd, ThreadLe
     // short or EAGAIN write means the timeout expired.
     int off = 0;
     while (off < req_len) {
-      ssize_t n = sys->Write(thread_index, fd, req + off, static_cast<size_t>(req_len - off));
+      ssize_t n =
+          sys->WriteBuf(thread_index, fd, req + off, static_cast<size_t>(req_len - off));
       if (n > 0) {
         off += static_cast<int>(n);
         continue;
@@ -486,7 +487,7 @@ LoadClient::ConnOutcome LoadClient::RunStalled(int thread_index, int fd, ThreadL
       int off = 0;
       while (off < half) {
         ssize_t n =
-            config_.sys->Write(thread_index, fd, req + off, static_cast<size_t>(half - off));
+            config_.sys->WriteBuf(thread_index, fd, req + off, static_cast<size_t>(half - off));
         if (n > 0) {
           off += static_cast<int>(n);
           continue;
@@ -512,8 +513,8 @@ LoadClient::ConnOutcome LoadClient::RunStalled(int thread_index, int fd, ThreadL
       int req_len = config_.payload_bytes + 1;
       int off = 0;
       while (off < req_len) {
-        ssize_t n = config_.sys->Write(thread_index, fd, req + off,
-                                       static_cast<size_t>(req_len - off));
+        ssize_t n = config_.sys->WriteBuf(thread_index, fd, req + off,
+                                          static_cast<size_t>(req_len - off));
         if (n > 0) {
           off += static_cast<int>(n);
           continue;

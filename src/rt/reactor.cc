@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -320,12 +319,6 @@ void Reactor::Run() {
         if (ev.accepted_fd >= 0) {
           int afd = ev.accepted_fd;
           backoff_ms_ = 0;  // fds are flowing again: reset the exponential window
-          if (src.listener == nullptr || !src.listener->is_unix) {
-            // Same Nagle rationale as the accept4 path; the listener kind
-            // stands in for the peer family multishot accept cannot report.
-            int one = 1;
-            setsockopt(afd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-          }
           size_t qi = src.qi;
           if (shared_->director != nullptr && src.listener != nullptr &&
               src.listener->id == 0 && !src.listener->is_unix) {
@@ -736,13 +729,6 @@ void Reactor::AcceptBatch(size_t src_idx) {
       }
       break;  // EAGAIN (drained), or a hard error: retry next wakeup
     }
-    if (peer.ss_family == AF_INET) {
-      // The response is written as two small segments (length header, then
-      // payload); without TCP_NODELAY, Nagle holds the second until the
-      // client's delayed ACK (~40 ms) -- fatal for request/response latency.
-      int one = 1;
-      setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    }
     size_t qi = default_qi;
     if (steer && peer.ss_family == AF_INET) {
       // Flow-group steering: the connection belongs to whichever core owns
@@ -1150,7 +1136,9 @@ void Reactor::NoteRounds(PendingConn* conn, uint16_t prev_rounds) {
   if (shared_->deadlines_enabled) {
     wheel_->Cancel(&conn->phase_timer);
   }
-  uint32_t delta = static_cast<uint32_t>(done - prev_rounds);
+  // rounds_done wraps at 65536: the difference must wrap with it, or the
+  // 65536th round of a connection would count as ~4.29e9.
+  uint32_t delta = static_cast<uint16_t>(done - prev_rounds);
   hot_.requests->fetch_add(delta, std::memory_order_relaxed);
   // Ledger: these rounds ran on the core recorded at Serve() time. A held
   // connection never changes reactors mid-conversation, so the bucket set
@@ -1162,9 +1150,8 @@ void Reactor::NoteRounds(PendingConn* conn, uint16_t prev_rounds) {
     hot_.requests_dist[conn->svc.accept_dist - 1]->fetch_add(delta,
                                                              std::memory_order_relaxed);
   }
-  // One handler call can complete several rounds back-to-back (requests
-  // already queued in the socket buffer); the per-round latencies are then
-  // within one pump of each other, so the last one stands in for the batch.
+  // The built-in handlers complete at most one round per call; a handler
+  // that completes several books each at the last round's latency.
   for (uint32_t i = 0; i < delta; ++i) {
     hot_.request_latency->Add(conn->svc.last_request_ns);
   }

@@ -29,8 +29,10 @@ namespace affinity {
 namespace svc {
 
 // What the connection needs next. kWantRead/kWantWrite map 1:1 onto the
-// EPOLLIN/EPOLLOUT mask the reactor (re-)arms; the handler only returns
-// them after the socket said EAGAIN, so level-triggered epoll will fire.
+// EPOLLIN/EPOLLOUT mask the reactor (re-)arms. The handler returns them
+// after the socket said EAGAIN, or kWantRead at the end of a round without
+// reading again: the armed readiness (level-triggered epoll, or a fresh
+// one-shot uring poll) fires for bytes that are already waiting.
 enum class Verdict : uint8_t {
   kWantRead,
   kWantWrite,
@@ -57,8 +59,8 @@ class ConnHandler {
   virtual const char* name() const = 0;
 
   // First touch after the pop: the state is Reset, the fd is nonblocking.
-  // May complete whole rounds immediately (the request often arrived while
-  // the connection sat in the ring).
+  // May complete a round immediately (the request often arrived while the
+  // connection sat in the ring).
   virtual Verdict OnAccept(const ConnRef& c) = 0;
   virtual Verdict OnReadable(const ConnRef& c) = 0;
   virtual Verdict OnWritable(const ConnRef& c) = 0;

@@ -33,7 +33,8 @@ inline constexpr uint32_t kHeadBufBytes = 16;
 // Where the conversation stands between epoll rounds.
 enum class ConnPhase : uint8_t {
   kReading,  // accumulating a request line into req_buf
-  kWriting,  // flushing head_buf then the response payload
+  kWriting,  // flushing what is left of head_buf and the staged payload,
+             // both gathered into each send (one send per small response)
 };
 
 struct ConnState {

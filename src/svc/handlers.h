@@ -20,6 +20,8 @@
 #ifndef AFFINITY_SRC_SVC_HANDLERS_H_
 #define AFFINITY_SRC_SVC_HANDLERS_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -31,8 +33,10 @@ namespace svc {
 class RequestResponseHandler : public ConnHandler {
  public:
   // `max_rounds` > 0: the server closes after that many responses (echo-N);
-  // 0: serve until the client closes.
-  explicit RequestResponseHandler(int max_rounds) : max_rounds_(max_rounds) {}
+  // 0: serve until the client closes. A cap beyond the 16-bit
+  // ConnState::rounds_done range is clamped to 65535.
+  explicit RequestResponseHandler(int max_rounds)
+      : max_rounds_(static_cast<uint16_t>(std::clamp(max_rounds, 0, 0xFFFF))) {}
 
   Verdict OnAccept(const ConnRef& c) override;
   Verdict OnReadable(const ConnRef& c) override;
@@ -60,15 +64,15 @@ class RequestResponseHandler : public ConnHandler {
   }
 
  private:
-  // The full state machine: read -> respond -> write, looping until EAGAIN
-  // or a close decision.
+  // The full state machine: read -> respond -> write, until EAGAIN, a
+  // close decision, or the end of one round.
   Verdict Pump(const ConnRef& c);
   // One phase each; kWantRead/kWantWrite mean EAGAIN, anything else is a
   // terminal decision or phase completion.
   Verdict ReadPhase(const ConnRef& c);
   Verdict WritePhase(const ConnRef& c);
 
-  int max_rounds_;
+  uint16_t max_rounds_;  // 0 = uncapped
 };
 
 class EchoHandler : public RequestResponseHandler {

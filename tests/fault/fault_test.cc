@@ -3,6 +3,8 @@
 // time here is faked (time points are passed in), so nothing sleeps.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
@@ -46,9 +48,11 @@ class FakeSys : public SysIface {
     ++reads;
     return static_cast<ssize_t>(count);
   }
-  ssize_t Write(int /*core*/, int /*fd*/, const void* /*buf*/, size_t count) override {
+  ssize_t Write(int /*core*/, int /*fd*/, const iovec* iov, int iovcnt) override {
     ++writes;
-    return static_cast<ssize_t>(count);
+    size_t total = 0;
+    for (int i = 0; i < iovcnt; ++i) total += iov[i].iov_len;
+    return static_cast<ssize_t>(total);
   }
   int EpollCtl(int /*core*/, int /*epfd*/, int /*op*/, int /*fd*/,
                epoll_event* /*event*/) override {
@@ -211,9 +215,10 @@ TEST(FaultInjectorTest, DataPathSitesInjectIndependently) {
   EXPECT_EQ(ECONNRESET, errno);
   EXPECT_EQ(8, injector.Read(0, 3, buf, sizeof(buf)));  // window is 1 call wide
 
-  EXPECT_EQ(8, injector.Write(0, 3, buf, sizeof(buf)));
+  iovec iov[2] = {{buf, 3}, {buf + 3, 5}};
+  EXPECT_EQ(8, injector.Write(0, 3, iov, 2));
   errno = 0;
-  EXPECT_EQ(-1, injector.Write(0, 3, buf, sizeof(buf)));
+  EXPECT_EQ(-1, injector.Write(0, 3, iov, 2));
   EXPECT_EQ(ECONNRESET, errno);
 
   EXPECT_EQ(0, injector.Connect(0, 3, nullptr, 0));
@@ -230,6 +235,27 @@ TEST(FaultInjectorTest, DataPathSitesInjectIndependently) {
   EXPECT_EQ(1u, stats.injected[static_cast<int>(CallSite::kWrite)]);
   EXPECT_EQ(1u, stats.injected[static_cast<int>(CallSite::kConnect)]);
   EXPECT_EQ(0u, stats.injected[static_cast<int>(CallSite::kAccept4)]);
+}
+
+// The passthrough's gathered Write is one sendmsg: every buffer lands on
+// the socket, in order, and the one-buffer WriteBuf rides the same method.
+TEST(SysIfaceTest, PassthroughWriteGathersEveryBufferInOrder) {
+  int sv[2];
+  ASSERT_EQ(0, socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv));
+  char head[] = "5\n";
+  char body[] = "hello";
+  iovec iov[2] = {{head, 2}, {body, 5}};
+  EXPECT_EQ(7, DefaultSys()->Write(0, sv[0], iov, 2));
+  EXPECT_EQ(1, DefaultSys()->WriteBuf(0, sv[0], "!", 1));
+  char got[16] = {};
+  EXPECT_EQ(8, read(sv[1], got, sizeof(got)));
+  EXPECT_STREQ("5\nhello!", got);
+  // A vanished peer is a plain EPIPE, never a SIGPIPE (MSG_NOSIGNAL).
+  close(sv[1]);
+  errno = 0;
+  EXPECT_EQ(-1, DefaultSys()->Write(0, sv[0], iov, 2));
+  EXPECT_EQ(EPIPE, errno);
+  close(sv[0]);
 }
 
 TEST(FaultInjectorTest, InjectedEpollCtlFailsWithoutArming) {

@@ -5,10 +5,16 @@
 
 #include "src/rt/runtime.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
 #include <string>
 #include <thread>
 
@@ -37,6 +43,34 @@ TEST(ListenerTest, ReuseportShardsShareOnePort) {
   close(a);
   if (b >= 0) close(b);
   if (c >= 0) close(c);
+}
+
+// TCP_NODELAY is set once on the listener and inherited by every accepted
+// socket, so the reactors never set it per accept.
+TEST(ListenerTest, AcceptedSocketsInheritNoDelay) {
+  std::string error;
+  uint16_t port = 0;
+  int lfd = CreateListenSocket(&port, 16, /*reuseport=*/true, &error);
+  ASSERT_GE(lfd, 0) << error;
+  int cfd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(cfd, 0);
+  sockaddr_in addr;
+  memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  ASSERT_EQ(0, connect(cfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)));
+  pollfd pfd{lfd, POLLIN, 0};
+  ASSERT_EQ(1, poll(&pfd, 1, 5000));
+  int afd = accept4(lfd, nullptr, nullptr, SOCK_CLOEXEC);
+  ASSERT_GE(afd, 0);
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(0, getsockopt(afd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len));
+  EXPECT_EQ(1, nodelay);
+  close(afd);
+  close(cfd);
+  close(lfd);
 }
 
 class RtRuntimeTest : public ::testing::TestWithParam<RtMode> {};

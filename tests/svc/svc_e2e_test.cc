@@ -7,9 +7,14 @@
 // completes its conversation on the thief -- the state machine travels with
 // the pooled block. This file runs under ThreadSanitizer in CI (rt_tests).
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <thread>
@@ -92,6 +97,66 @@ TEST(SvcE2eTest, EchoConversationsCompleteInEveryMode) {
     ExpectBooksBalance(runtime);
     ExpectClientLedgerBalances(client);
   }
+}
+
+// ConnState::rounds_done is 16 bits wide. One live echo connection crosses
+// its 65535 -> 0 wrap, and the runtime's request ledger must advance by
+// exactly one per round through it (a wrap read as a signed difference once
+// booked ~4.29e9 requests for the 65536th round).
+TEST(SvcE2eTest, RoundCounterWrapAdvancesRequestsByOnePerRound) {
+  RtConfig config;
+  config.mode = RtMode::kAffinity;
+  config.num_threads = 1;
+  config.workload = svc::WorkloadKind::kEcho;
+  Runtime runtime(config);
+  std::string error;
+  ASSERT_TRUE(runtime.Start(&error)) << error;
+
+  int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(runtime.port());
+  ASSERT_EQ(0, connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)));
+  timeval timeout{5, 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  auto round = [fd]() {
+    if (send(fd, "x\n", 2, MSG_NOSIGNAL) != 2) {
+      return false;
+    }
+    char resp[3];
+    size_t got = 0;
+    while (got < sizeof(resp)) {
+      ssize_t n = read(fd, resp + got, sizeof(resp) - got);
+      if (n <= 0) {
+        return false;
+      }
+      got += static_cast<size_t>(n);
+    }
+    return std::memcmp(resp, "1\nx", sizeof(resp)) == 0;
+  };
+  auto requests = [&runtime]() { return runtime.Totals().requests; };
+
+  constexpr uint64_t kBeforeWrap = 0xFFFE;
+  for (uint64_t i = 0; i < kBeforeWrap; ++i) {
+    ASSERT_TRUE(round()) << "round " << i;
+  }
+  ASSERT_TRUE(WaitFor([&] { return requests() >= kBeforeWrap; }, std::chrono::seconds(5)));
+  EXPECT_EQ(requests(), kBeforeWrap);
+  // Rounds 65535, 65536 (rounds_done wraps to 0) and 65537, one at a time.
+  for (uint64_t n = kBeforeWrap + 1; n <= kBeforeWrap + 3; ++n) {
+    ASSERT_TRUE(round()) << "round " << n;
+    ASSERT_TRUE(WaitFor([&] { return requests() >= n; }, std::chrono::seconds(5))) << n;
+    EXPECT_EQ(requests(), n);
+  }
+  close(fd);
+  runtime.Stop();
+  RtTotals totals = runtime.Totals();
+  EXPECT_EQ(totals.requests, kBeforeWrap + 3);
+  EXPECT_EQ(totals.request_latency_ns.count(), totals.requests);
+  ExpectBooksBalance(runtime);
 }
 
 TEST(SvcE2eTest, StaticWorkloadServesObjectsEndToEnd) {

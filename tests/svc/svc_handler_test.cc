@@ -24,8 +24,9 @@ namespace {
 
 // A SysIface whose Read/Write follow a script. Reads deliver a chunk, an
 // errno, or EOF per call; once the script runs dry every further read is
-// EAGAIN (the socket went quiet). Writes accept at most `cap` bytes per
-// scripted step (cap 0 = EAGAIN, a full send buffer); once the write
+// EAGAIN (the socket went quiet). Each gathered write accepts at most `cap`
+// bytes per scripted step, counted across its buffers so a cap can stop
+// inside any of them (cap 0 = EAGAIN, a full send buffer); once the write
 // script runs dry every write is accepted whole. Everything written lands
 // in `written` for byte-exact response checks.
 class ScriptedSys : public fault::SysIface {
@@ -72,11 +73,14 @@ class ScriptedSys : public fault::SysIface {
     return static_cast<ssize_t>(n);
   }
 
-  ssize_t Write(int core, int fd, const void* buf, size_t count) override {
+  ssize_t Write(int core, int fd, const iovec* iov, int iovcnt) override {
     (void)core;
     (void)fd;
     ++writes_issued;
-    size_t n = count;
+    size_t n = 0;
+    for (int i = 0; i < iovcnt; ++i) {
+      n += iov[i].iov_len;
+    }
     if (write_idx < writes.size()) {
       WriteStep step = writes[write_idx++];
       if (step.err != 0) {
@@ -87,9 +91,14 @@ class ScriptedSys : public fault::SysIface {
         errno = EAGAIN;
         return -1;
       }
-      n = std::min(count, step.cap);
+      n = std::min(n, step.cap);
     }
-    written.append(static_cast<const char*>(buf), n);
+    size_t left = n;
+    for (int i = 0; i < iovcnt && left > 0; ++i) {
+      size_t take = std::min(left, iov[i].iov_len);
+      written.append(static_cast<const char*>(iov[i].iov_base), take);
+      left -= take;
+    }
     return static_cast<ssize_t>(n);
   }
 
@@ -125,6 +134,77 @@ TEST(SvcHandlerTest, EchoCompletesAWholeRoundInOnAccept) {
   EXPECT_EQ(st.phase, ConnPhase::kReading);
   EXPECT_EQ(st.req_len, 0u);
   EXPECT_GT(st.last_request_ns, 0u);
+}
+
+TEST(SvcHandlerTest, EchoRoundCostsOneReadAndOneWrite) {
+  ScriptedSys sys;
+  sys.reads = {ScriptedSys::Data("hello\n")};
+  EchoHandler handler(/*max_rounds=*/0);
+  ConnState st;
+  ConnRef c = MakeConn(&st, &sys);
+
+  // The per-request syscall budget: one read for the request, one gathered
+  // send for header + payload, and no speculative read after the round --
+  // the reactor's re-armed readiness reports the next request.
+  EXPECT_EQ(handler.OnAccept(c), Verdict::kWantRead);
+  EXPECT_EQ(sys.written, "5\nhello");
+  EXPECT_EQ(sys.reads_issued, 1);
+  EXPECT_EQ(sys.writes_issued, 1);
+
+  // The next request costs the same again.
+  sys.reads.push_back(ScriptedSys::Data("again\n"));
+  EXPECT_EQ(handler.OnReadable(c), Verdict::kWantRead);
+  EXPECT_EQ(sys.written, "5\nhello5\nagain");
+  EXPECT_EQ(sys.reads_issued, 2);
+  EXPECT_EQ(sys.writes_issued, 2);
+  EXPECT_EQ(st.rounds_done, 2);
+}
+
+TEST(SvcHandlerTest, GatheredWriteStoppingInsideTheHeaderResumesByteExact) {
+  ScriptedSys sys;
+  sys.reads = {ScriptedSys::Data("hello world\n")};
+  // The gathered send takes 1 byte of the 3-byte header "11\n", then the
+  // send buffer is full.
+  sys.writes = {{1, 0}, {0, 0}};
+  EchoHandler handler(/*max_rounds=*/0);
+  ConnState st;
+  ConnRef c = MakeConn(&st, &sys);
+
+  EXPECT_EQ(handler.OnAccept(c), Verdict::kWantWrite);
+  EXPECT_EQ(st.phase, ConnPhase::kWriting);
+  EXPECT_EQ(sys.written, "1");
+  EXPECT_EQ(st.head_off, 1u);
+  EXPECT_EQ(st.resp_off, 0u);
+  EXPECT_EQ(st.rounds_done, 0);
+
+  // EPOLLOUT: the rest of the header and the whole payload leave together.
+  EXPECT_EQ(handler.OnWritable(c), Verdict::kWantRead);
+  EXPECT_EQ(sys.written, "11\nhello world");
+  EXPECT_EQ(sys.writes_issued, 3);
+  EXPECT_EQ(st.rounds_done, 1);
+  EXPECT_EQ(st.phase, ConnPhase::kReading);
+}
+
+TEST(SvcHandlerTest, GatheredWriteStoppingInsideThePayloadResumesByteExact) {
+  ScriptedSys sys;
+  sys.reads = {ScriptedSys::Data("hello world\n")};
+  // The gathered send takes the whole header and 2 payload bytes.
+  sys.writes = {{5, 0}, {0, 0}};
+  EchoHandler handler(/*max_rounds=*/0);
+  ConnState st;
+  ConnRef c = MakeConn(&st, &sys);
+
+  EXPECT_EQ(handler.OnAccept(c), Verdict::kWantWrite);
+  EXPECT_EQ(st.phase, ConnPhase::kWriting);
+  EXPECT_EQ(sys.written, "11\nhe");
+  EXPECT_EQ(st.head_off, 3u);
+  EXPECT_EQ(st.resp_off, 2u);
+  EXPECT_EQ(st.rounds_done, 0);
+
+  EXPECT_EQ(handler.OnWritable(c), Verdict::kWantRead);
+  EXPECT_EQ(sys.written, "11\nhello world");
+  EXPECT_EQ(sys.writes_issued, 3);
+  EXPECT_EQ(st.rounds_done, 1);
 }
 
 TEST(SvcHandlerTest, PartialRequestSurvivesEpollRounds) {
@@ -235,11 +315,38 @@ TEST(SvcHandlerTest, EchoNClosesAfterNthRound) {
   ConnState st;
   ConnRef c = MakeConn(&st, &sys);
 
-  // Both requests are already buffered; the pump loop serves both rounds in
-  // one call and the server-side close lands exactly after the second.
-  EXPECT_EQ(handler.OnAccept(c), Verdict::kClose);
+  // Both requests are already buffered. Each call serves one round (the
+  // reactor's readiness brings the handler back for the second), and the
+  // server-side close lands exactly after the second.
+  EXPECT_EQ(handler.OnAccept(c), Verdict::kWantRead);
+  EXPECT_EQ(sys.written, "3\none");
+  EXPECT_EQ(handler.OnReadable(c), Verdict::kClose);
   EXPECT_EQ(sys.written, "3\none3\ntwo");
   EXPECT_EQ(st.rounds_done, 2);
+}
+
+TEST(SvcHandlerTest, RoundCapSurvivesTheSixteenBitRoundCounter) {
+  ConnState st;
+  ScriptedSys sys;
+  ConnRef c = MakeConn(&st, &sys);
+
+  // Uncapped: the 65536th round wraps rounds_done to 0 and keeps serving.
+  EchoHandler uncapped(/*max_rounds=*/0);
+  st.rounds_done = 0xFFFF;
+  sys.reads = {ScriptedSys::Data("a\n")};
+  EXPECT_EQ(uncapped.OnReadable(c), Verdict::kWantRead);
+  EXPECT_EQ(st.rounds_done, 0);
+
+  // A cap of 65536 used to truncate to 0 and close after the first round;
+  // a cap beyond the counter's range now clamps to 65535.
+  EchoHandler wide(/*max_rounds=*/65536);
+  sys.reads.push_back(ScriptedSys::Data("b\n"));
+  EXPECT_EQ(wide.OnReadable(c), Verdict::kWantRead);
+  EXPECT_EQ(st.rounds_done, 1);
+  st.rounds_done = 0xFFFE;
+  sys.reads.push_back(ScriptedSys::Data("c\n"));
+  EXPECT_EQ(wide.OnReadable(c), Verdict::kClose);
+  EXPECT_EQ(st.rounds_done, 0xFFFF);
 }
 
 TEST(SvcHandlerTest, StaticServesKnownKeyAndRejectsUnknown) {
@@ -304,6 +411,8 @@ TEST(SvcHandlerTest, StreamServesTheFullFramedPayloadAcrossChunks) {
   EXPECT_EQ(handler.OnAccept(c), Verdict::kWantRead);
   std::string chunk = "abcdefgh";
   EXPECT_EQ(sys.written, "32\n" + chunk + chunk + chunk + chunk);
+  // The first chunk leaves with the header, each restaged one on its own.
+  EXPECT_EQ(sys.writes_issued, 4);
   EXPECT_EQ(st.rounds_done, 1);
   EXPECT_EQ(st.stream_remaining, 0u);
   EXPECT_EQ(st.phase, ConnPhase::kReading);
@@ -344,8 +453,11 @@ TEST(SvcHandlerTest, StreamHonorsMaxRounds) {
   ConnState st;
   ConnRef c = MakeConn(&st, &sys);
 
-  // Both requests buffered: two full streams, then the server-side close.
-  EXPECT_EQ(handler.OnAccept(c), Verdict::kClose);
+  // Both requests buffered: one full stream per call, then the server-side
+  // close after the second.
+  EXPECT_EQ(handler.OnAccept(c), Verdict::kWantRead);
+  EXPECT_EQ(sys.written, "8\nabcdabcd");
+  EXPECT_EQ(handler.OnReadable(c), Verdict::kClose);
   EXPECT_EQ(sys.written, "8\nabcdabcd8\nabcdabcd");
   EXPECT_EQ(st.rounds_done, 2);
 }

@@ -34,6 +34,20 @@ uint64_t ToNs(std::chrono::steady_clock::duration d) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
 }
 
+// The row of a distance split (same_llc, cross_llc, cross_node) for a
+// remote topo::LedgerBucket (1..3).
+RtMetric::Id DistanceRow(RtMetric::Id same_llc, int bucket) {
+  return static_cast<RtMetric::Id>(same_llc + bucket - 1);
+}
+
+// The timeouts_* row of a deadline kind other than kNone.
+RtMetric::Id TimeoutRow(DeadlineKind kind) {
+  return static_cast<RtMetric::Id>(RtMetric::timeouts_handshake + static_cast<int>(kind) - 1);
+}
+static_assert(static_cast<int>(DeadlineKind::kHandshake) == 1 &&
+                  static_cast<int>(DeadlineKind::kLifetime) == 5,
+              "TimeoutRow maps kHandshake..kLifetime onto the five timeouts_* rows");
+
 }  // namespace
 
 const char* RtModeName(RtMode mode) {
@@ -80,50 +94,21 @@ Reactor::Reactor(int index, ReactorShared* shared) : index_(index), shared_(shar
 
 void Reactor::ResolveHotCells() {
   obs::MetricsRegistry* m = shared_->metrics;
-  const RtMetricIds& ids = shared_->ids;
-  hot_.accepted = m->Cell(ids.accepted, index_);
-  hot_.served_local = m->Cell(ids.served_local, index_);
-  hot_.served_remote = m->Cell(ids.served_remote, index_);
-  hot_.steals = m->Cell(ids.steals, index_);
-  hot_.overflow_drops = m->Cell(ids.overflow_drops, index_);
-  hot_.epoll_wakeups = m->Cell(ids.epoll_wakeups, index_);
-  hot_.conn_remote_frees = m->Cell(ids.conn_remote_frees, index_);
-  hot_.pool_exhausted = m->Cell(ids.pool_exhausted, index_);
-  hot_.accept_eintr = m->Cell(ids.accept_eintr, index_);
-  hot_.accept_econnaborted = m->Cell(ids.accept_econnaborted, index_);
-  hot_.accept_eproto = m->Cell(ids.accept_eproto, index_);
-  hot_.accept_emfile = m->Cell(ids.accept_emfile, index_);
-  hot_.accept_backoff = m->Cell(ids.accept_backoff, index_);
-  hot_.admission_shed = m->Cell(ids.admission_shed, index_);
-  hot_.requests = m->Cell(ids.requests, index_);
-  hot_.requests_local_core = m->Cell(ids.requests_local_core, index_);
-  hot_.requests_remote_core = m->Cell(ids.requests_remote_core, index_);
-  hot_.requests_dist[0] = m->Cell(ids.requests_same_llc, index_);
-  hot_.requests_dist[1] = m->Cell(ids.requests_cross_llc, index_);
-  hot_.requests_dist[2] = m->Cell(ids.requests_cross_node, index_);
-  hot_.steals_dist[0] = m->Cell(ids.steals_same_llc, index_);
-  hot_.steals_dist[1] = m->Cell(ids.steals_cross_llc, index_);
-  hot_.steals_dist[2] = m->Cell(ids.steals_cross_node, index_);
-  hot_.conn_migrations = m->Cell(ids.conn_migrations, index_);
-  hot_.aborted_at_stop = m->Cell(ids.aborted_at_stop, index_);
-  hot_.conn_open = m->Cell(ids.conn_open, index_);
-  hot_.timeouts[0] = m->Cell(ids.timeouts_handshake, index_);
-  hot_.timeouts[1] = m->Cell(ids.timeouts_idle, index_);
-  hot_.timeouts[2] = m->Cell(ids.timeouts_read, index_);
-  hot_.timeouts[3] = m->Cell(ids.timeouts_write, index_);
-  hot_.timeouts[4] = m->Cell(ids.timeouts_lifetime, index_);
-  hot_.pool_evictions = m->Cell(ids.pool_evictions, index_);
-  hot_.drained_gracefully = m->Cell(ids.drained_gracefully, index_);
-  hot_.queue_wait = m->HistCell(ids.queue_wait, index_);
-  hot_.request_latency = m->HistCell(ids.request_latency, index_);
-  if (shared_->director != nullptr) {
-    hot_.steer_owner_accepts = m->Cell(ids.steer_owner_accepts, index_);
-    hot_.steer_cross_accepts = m->Cell(ids.steer_cross_accepts, index_);
+  for (int i = 0; i < RtMetric::kCount; ++i) {
+    obs::MetricsRegistry::MetricId id = shared_->ids[static_cast<size_t>(i)];
+    if (id == kNoMetric) {
+      continue;
+    }
+    if (kRtMetricDefs[i].kind == RtKind::kHistogram) {
+      hists_[i] = m->HistCell(id, index_);
+    } else {
+      cells_[i] = m->Cell(id, index_);
+    }
   }
   size_t num_queues = shared_->queues.size();
-  hot_.queue_len.resize(num_queues);
+  queue_len_.resize(num_queues);
   for (size_t qi = 0; qi < num_queues; ++qi) {
-    hot_.queue_len[qi] = m->Cell(ids.queue_len, static_cast<int>(qi));
+    queue_len_[qi] = m->Cell(shared_->ids[RtMetric::queue_len], static_cast<int>(qi));
   }
   // Batch scratch state: sized once here, reused every batch.
   enq_.q.resize(num_queues);
@@ -267,10 +252,8 @@ void Reactor::Run() {
       break;
     }
     if (n > 0) {
-      hot_.epoll_wakeups->fetch_add(1, std::memory_order_relaxed);
+      Count(RtMetric::epoll_wakeups);
       int npend = 0;
-      uint32_t owner_accepts = 0;
-      uint32_t cross_accepts = 0;
       auto now = std::chrono::steady_clock::now();
       for (int i = 0; i < n; ++i) {
         const io::IoEvent& ev = events[i];
@@ -298,8 +281,8 @@ void Reactor::Run() {
           // recovery): any fd inside is still a real connection the kernel
           // accepted on our behalf; dispose of it in order.
           if (ev.accepted_fd >= 0) {
-            hot_.accepted->fetch_add(1, std::memory_order_relaxed);
-            hot_.overflow_drops->fetch_add(1, std::memory_order_relaxed);
+            Count(RtMetric::accepted);
+            Count(RtMetric::overflow_drops);
             shared_->sys->Close(index_, ev.accepted_fd);
           }
           continue;
@@ -317,52 +300,19 @@ void Reactor::Run() {
         // admitted even from a stale generation (dropping them would leak).
         const bool current = io::GenOfToken(ev.token) == src.watch_gen;
         if (ev.accepted_fd >= 0) {
-          int afd = ev.accepted_fd;
-          backoff_ms_ = 0;  // fds are flowing again: reset the exponential window
-          size_t qi = src.qi;
-          if (shared_->director != nullptr && src.listener != nullptr &&
-              src.listener->id == 0 && !src.listener->is_unix) {
-            // Steering key recovery: multishot accept delivers no peer
-            // address, so one getpeername (only when steering is on) finds
-            // the source port whose flow group owns this connection.
-            sockaddr_storage peer;
-            socklen_t peer_len = sizeof(peer);
-            if (getpeername(afd, reinterpret_cast<sockaddr*>(&peer), &peer_len) == 0 &&
-                peer.ss_family == AF_INET) {
-              CoreId owner = shared_->director->OwnerOfPort(
-                  ntohs(reinterpret_cast<const sockaddr_in*>(&peer)->sin_port));
-              if (owner >= 0 && owner < shared_->num_reactors) {
-                qi = static_cast<size_t>(owner);
-              }
-            }
-            if (qi == static_cast<size_t>(index_)) {
-              ++owner_accepts;
-            } else {
-              ++cross_accepts;
-            }
-          }
           if (npend == 64) {
             Prof(obs::hwprof::Phase::kAccept);
             AdmitBatch(pending, npend, now);
             npend = 0;
           }
-          pending[npend].fd = afd;
-          pending[npend].qi = static_cast<uint32_t>(qi);
+          pending[npend].fd = ev.accepted_fd;
+          pending[npend].qi = RouteAccepted(src, ev.accepted_fd, /*peer=*/nullptr);
           pending[npend].src = static_cast<uint32_t>(si);
           ++npend;
         } else if (ev.error != 0 && current) {
-          // The multishot accept terminated with an error: same per-class
-          // counters as the accept4 soft-skip path, and the same EMFILE
-          // rescue. The terminal CQE also sets rewatch below.
-          if (ev.error == EMFILE || ev.error == ENFILE) {
-            FdExhaustionRescue(src.fd);
-          } else if (ev.error == ECONNABORTED) {
-            hot_.accept_econnaborted->fetch_add(1, std::memory_order_relaxed);
-          } else if (ev.error == EPROTO) {
-            hot_.accept_eproto->fetch_add(1, std::memory_order_relaxed);
-          } else if (ev.error == EINTR) {
-            hot_.accept_eintr->fetch_add(1, std::memory_order_relaxed);
-          }
+          // The multishot accept terminated with an error: sorted like an
+          // accept4 failure. The terminal CQE also sets rewatch below.
+          SortAcceptError(ev.error, src.fd);
         }
         if (ev.rewatch && current) {
           src.watching = false;  // RewatchSources re-arms once the gates allow
@@ -371,12 +321,6 @@ void Reactor::Run() {
       if (npend > 0) {
         Prof(obs::hwprof::Phase::kAccept);
         AdmitBatch(pending, npend, now);
-      }
-      if (owner_accepts > 0) {
-        hot_.steer_owner_accepts->fetch_add(owner_accepts, std::memory_order_relaxed);
-      }
-      if (cross_accepts > 0) {
-        hot_.steer_cross_accepts->fetch_add(cross_accepts, std::memory_order_relaxed);
       }
     } else if (n < 0) {
       break;  // hard engine error (the backends swallow EINTR themselves)
@@ -438,25 +382,22 @@ void Reactor::MigrationTick() {
     if (suppressed) {
       // A victim was due but hysteresis vetoed every candidate group: the
       // anti-flapping guard held (FDir-reordering paper), not load balance.
-      shared_->metrics->Add(shared_->ids.migrations_suppressed, index_);
+      Count(RtMetric::migrations_suppressed);
     }
     return;
   }
-  shared_->metrics->Add(shared_->ids.migrations, index_);
-  shared_->metrics->GaugeSet(shared_->ids.groups_owned, static_cast<int>(m.from_core),
-                             static_cast<uint64_t>(shared_->director->table().OwnedBy(m.from_core)));
-  shared_->metrics->GaugeSet(shared_->ids.groups_owned, static_cast<int>(m.to_core),
-                             static_cast<uint64_t>(shared_->director->table().OwnedBy(m.to_core)));
+  Count(RtMetric::migrations);
+  for (CoreId core : {m.from_core, m.to_core}) {
+    shared_->metrics->GaugeSet(shared_->ids[RtMetric::steer_groups_owned], static_cast<int>(core),
+                               static_cast<uint64_t>(shared_->director->table().OwnedBy(core)));
+  }
   if (shared_->trace != nullptr) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kMigrate;
-    event.core = static_cast<int16_t>(index_);
-    event.src = static_cast<int16_t>(m.from_core);
-    event.dst = static_cast<int16_t>(m.to_core);
-    event.group = m.group;
-    event.tick = static_cast<uint32_t>(m.tick);
-    event.qlen = static_cast<uint32_t>(m.victim_steals);
-    shared_->trace->Record(index_, event);
+    Trace({.type = obs::TraceEventType::kMigrate,
+           .src = static_cast<int16_t>(m.from_core),
+           .dst = static_cast<int16_t>(m.to_core),
+           .qlen = static_cast<uint32_t>(m.victim_steals),
+           .group = m.group,
+           .tick = static_cast<uint32_t>(m.tick)});
   }
 }
 
@@ -478,24 +419,16 @@ void Reactor::TryFailover(int dead) {
   }
   // From here this reactor owns the failover actions; the mutex keeps a
   // concurrently-recovering peer from interleaving with them.
-  shared_->metrics->Add(shared_->ids.failovers, index_);
-  shared_->metrics->GaugeSet(shared_->ids.reactor_dead, dead, 1);
+  Count(RtMetric::failovers);
+  shared_->metrics->GaugeSet(shared_->ids[RtMetric::reactor_dead], dead, 1);
   if (shared_->policy != nullptr) {
     // Permanently busy: peers steal the dead ring dry, and the migration
     // loop never picks the dead core as a destination.
     shared_->policy->SetForcedBusy(dead, true);
-    shared_->metrics->GaugeSet(shared_->ids.busy, dead, 1);
+    shared_->metrics->GaugeSet(shared_->ids[RtMetric::busy], dead, 1);
   }
   if (shared_->director != nullptr) {
-    size_t moved = shared_->director->FailOverCore(dead, shared_->policy, migrate_tick_);
-    if (moved > 0) {
-      shared_->metrics->Add(shared_->ids.failover_group_moves, index_,
-                            static_cast<uint64_t>(moved));
-      for (int c = 0; c < shared_->num_reactors; ++c) {
-        shared_->metrics->GaugeSet(shared_->ids.groups_owned, c,
-                                   static_cast<uint64_t>(shared_->director->table().OwnedBy(c)));
-      }
-    }
+    NoteFailoverGroupMoves(shared_->director->FailOverCore(dead, shared_->policy, migrate_tick_));
   }
   // Adopt the dead peer's listen shards -- one per per-shard listener:
   // SYNs the kernel already queued there (and, in fallback steering, keeps
@@ -526,12 +459,9 @@ void Reactor::TryFailover(int dead) {
     }
   }
   if (shared_->trace != nullptr) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kReactorDead;
-    event.core = static_cast<int16_t>(index_);
-    event.src = static_cast<int16_t>(dead);
-    event.tick = static_cast<uint32_t>(migrate_tick_);
-    shared_->trace->Record(index_, event);
+    Trace({.type = obs::TraceEventType::kReactorDead,
+           .src = static_cast<int16_t>(dead),
+           .tick = static_cast<uint32_t>(migrate_tick_)});
   }
 }
 
@@ -540,34 +470,34 @@ void Reactor::SelfRecover() {
   if (!shared_->domains->MarkAlive(index_)) {
     return;
   }
-  shared_->metrics->Add(shared_->ids.recoveries, index_);
-  shared_->metrics->GaugeSet(shared_->ids.reactor_dead, index_, 0);
+  Count(RtMetric::recoveries);
+  shared_->metrics->GaugeSet(shared_->ids[RtMetric::reactor_dead], index_, 0);
   if (shared_->policy != nullptr) {
     shared_->policy->SetForcedBusy(index_, false);
-    shared_->metrics->GaugeSet(shared_->ids.busy, index_,
+    shared_->metrics->GaugeSet(shared_->ids[RtMetric::busy], index_,
                                shared_->policy->IsBusy(index_) ? 1 : 0);
   }
   if (shared_->director != nullptr) {
-    size_t returned = shared_->director->RecoverCore(index_, migrate_tick_);
-    if (returned > 0) {
-      shared_->metrics->Add(shared_->ids.failover_group_moves, index_,
-                            static_cast<uint64_t>(returned));
-      for (int c = 0; c < shared_->num_reactors; ++c) {
-        shared_->metrics->GaugeSet(shared_->ids.groups_owned, c,
-                                   static_cast<uint64_t>(shared_->director->table().OwnedBy(c)));
-      }
-    }
+    NoteFailoverGroupMoves(shared_->director->RecoverCore(index_, migrate_tick_));
   }
   // The adopter still holds our listen fd in its epoll until its next
   // watchdog tick (ReleaseRecoveredAdoptions); the brief double-drain is
   // harmless -- accept4 hands each connection to exactly one caller.
   if (shared_->trace != nullptr) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kReactorRecover;
-    event.core = static_cast<int16_t>(index_);
-    event.src = static_cast<int16_t>(index_);
-    event.tick = static_cast<uint32_t>(migrate_tick_);
-    shared_->trace->Record(index_, event);
+    Trace({.type = obs::TraceEventType::kReactorRecover,
+           .src = static_cast<int16_t>(index_),
+           .tick = static_cast<uint32_t>(migrate_tick_)});
+  }
+}
+
+void Reactor::NoteFailoverGroupMoves(size_t moved) {
+  if (moved == 0) {
+    return;
+  }
+  Count(RtMetric::failover_group_moves, static_cast<uint64_t>(moved));
+  for (int c = 0; c < shared_->num_reactors; ++c) {
+    shared_->metrics->GaugeSet(shared_->ids[RtMetric::steer_groups_owned], c,
+                               static_cast<uint64_t>(shared_->director->table().OwnedBy(c)));
   }
 }
 
@@ -586,18 +516,22 @@ void Reactor::ReleaseRecoveredAdoptions() {
 
 void Reactor::RecordBusyFlip(size_t queue, size_t len_after) {
   bool now_busy = shared_->policy->IsBusy(static_cast<CoreId>(queue));
-  shared_->metrics->Add(now_busy ? shared_->ids.to_busy : shared_->ids.to_nonbusy,
-                        static_cast<int>(queue));
-  shared_->metrics->GaugeSet(shared_->ids.busy, static_cast<int>(queue), now_busy ? 1 : 0);
+  shared_->metrics->Add(
+      shared_->ids[now_busy ? RtMetric::transitions_to_busy : RtMetric::transitions_to_nonbusy],
+      static_cast<int>(queue));
+  shared_->metrics->GaugeSet(shared_->ids[RtMetric::busy], static_cast<int>(queue),
+                             now_busy ? 1 : 0);
   if (shared_->trace != nullptr) {
-    obs::TraceEvent event;
-    event.type = now_busy ? obs::TraceEventType::kBusyOn : obs::TraceEventType::kBusyOff;
-    event.core = static_cast<int16_t>(index_);
-    event.src = static_cast<int16_t>(queue);
-    event.ewma = shared_->policy->EwmaValue(static_cast<CoreId>(queue));
-    event.qlen = static_cast<uint32_t>(len_after);
-    shared_->trace->Record(index_, event);
+    Trace({.type = now_busy ? obs::TraceEventType::kBusyOn : obs::TraceEventType::kBusyOff,
+           .src = static_cast<int16_t>(queue),
+           .ewma = shared_->policy->EwmaValue(static_cast<CoreId>(queue)),
+           .qlen = static_cast<uint32_t>(len_after)});
   }
+}
+
+void Reactor::Trace(obs::TraceEvent event) {
+  event.core = static_cast<int16_t>(index_);
+  shared_->trace->Record(index_, event);
 }
 
 void Reactor::RstClose(int fd) {
@@ -615,12 +549,9 @@ bool Reactor::ShedOrDrop(int fd, size_t qi, std::chrono::steady_clock::time_poin
   if (shared_->overload == OverloadPolicy::kAcceptThenRst && drop_bucket_->TryTake(now)) {
     RstClose(fd);
     if (shared_->trace != nullptr) {
-      obs::TraceEvent event;
-      event.type = obs::TraceEventType::kAdmissionShed;
-      event.core = static_cast<int16_t>(index_);
-      event.src = static_cast<int16_t>(qi);
-      event.qlen = static_cast<uint32_t>(shared_->queues[qi]->size());
-      shared_->trace->Record(index_, event);
+      Trace({.type = obs::TraceEventType::kAdmissionShed,
+             .src = static_cast<int16_t>(qi),
+             .qlen = static_cast<uint32_t>(shared_->queues[qi]->size())});
     }
     return true;
   }
@@ -628,18 +559,15 @@ bool Reactor::ShedOrDrop(int fd, size_t qi, std::chrono::steady_clock::time_poin
   // overflow drop -- the stage-1 backlog gate does the actual pushing back.
   shared_->sys->Close(index_, fd);
   if (shared_->trace != nullptr) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kOverflowDrop;
-    event.core = static_cast<int16_t>(index_);
-    event.src = static_cast<int16_t>(qi);
-    event.qlen = static_cast<uint32_t>(shared_->queues[qi]->capacity());
-    shared_->trace->Record(index_, event);
+    Trace({.type = obs::TraceEventType::kOverflowDrop,
+           .src = static_cast<int16_t>(qi),
+           .qlen = static_cast<uint32_t>(shared_->queues[qi]->capacity())});
   }
   return false;
 }
 
 void Reactor::FdExhaustionRescue(int listen_fd) {
-  hot_.accept_emfile->fetch_add(1, std::memory_order_relaxed);
+  Count(RtMetric::accept_emfile);
   if (reserve_fd_ >= 0) {
     // Burn the reserve to accept exactly one connection and RST it: the
     // client gets a fast failure instead of hanging in a backlog no fd can
@@ -652,14 +580,10 @@ void Reactor::FdExhaustionRescue(int listen_fd) {
                                    &peer_len, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd >= 0) {
       RstClose(fd);
-      hot_.accepted->fetch_add(1, std::memory_order_relaxed);
-      hot_.admission_shed->fetch_add(1, std::memory_order_relaxed);
+      Count(RtMetric::accepted);
+      Count(RtMetric::admission_shed);
       if (shared_->trace != nullptr) {
-        obs::TraceEvent event;
-        event.type = obs::TraceEventType::kAdmissionShed;
-        event.core = static_cast<int16_t>(index_);
-        event.src = static_cast<int16_t>(index_);
-        shared_->trace->Record(index_, event);
+        Trace({.type = obs::TraceEventType::kAdmissionShed, .src = static_cast<int16_t>(index_)});
       }
     }
     reserve_fd_ = open("/dev/null", O_RDONLY | O_CLOEXEC);
@@ -668,40 +592,28 @@ void Reactor::FdExhaustionRescue(int listen_fd) {
   // out of fds; the kernel backlog holds the line meanwhile.
   backoff_ms_ = backoff_ms_ == 0 ? kBackoffFirstMs : std::min(backoff_ms_ * 2, kBackoffCapMs);
   backoff_until_ = std::chrono::steady_clock::now() + std::chrono::milliseconds(backoff_ms_);
-  hot_.accept_backoff->fetch_add(1, std::memory_order_relaxed);
+  Count(RtMetric::accept_backoff);
 }
 
 void Reactor::AcceptBatch(size_t src_idx) {
   const ListenSource& src = sources_[src_idx];
-  const size_t default_qi = src.qi;
   auto now = std::chrono::steady_clock::now();
   if (now < backoff_until_) {
     return;  // fd-exhaustion backoff window: leave the backlog queued
   }
   int limit = shared_->accept_batch < kMaxAcceptBatch ? shared_->accept_batch : kMaxAcceptBatch;
-  // Steering decisions apply only to the primary TCP listener: its source
-  // ports are the flow-group key. Extra ports and UNIX sockets keep plain
-  // accepting-core affinity.
-  const bool steer = shared_->director != nullptr && src.listener != nullptr &&
-                     src.listener->id == 0 && !src.listener->is_unix;
 
   // Stage 1: drain the kernel queue until EAGAIN (or the cap) into a stack
-  // array -- no bookkeeping between accept4 calls, so the kernel side is
-  // drained as fast as the syscall allows.
+  // array -- no bookkeeping between accept4 calls beyond routing, so the
+  // kernel side is drained as fast as the syscall allows.
   Accepted batch[kMaxAcceptBatch];
   int n = 0;
-  uint32_t owner_accepts = 0;
-  uint32_t cross_accepts = 0;
-  uint32_t eintr = 0;
-  uint32_t aborted = 0;
-  uint32_t eproto = 0;
   int soft_skips = 0;
-  bool fd_exhausted = false;
   while (n < limit) {
     if (shared_->overload == OverloadPolicy::kLeaveInBacklog) {
       // Admission gate: a full local ring stops the drain so the burst
       // queues in the kernel backlog instead of being accepted into a drop.
-      const AcceptRing& ring = *shared_->queues[default_qi];
+      const AcceptRing& ring = *shared_->queues[src.qi];
       if (ring.size() >= ring.capacity()) {
         break;
       }
@@ -711,71 +623,78 @@ void Reactor::AcceptBatch(size_t src_idx) {
     int fd = shared_->sys->Accept4(index_, src.fd, reinterpret_cast<sockaddr*>(&peer),
                                    &peer_len, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
-      // Soft errors are skip-and-continue with a per-class counter: the
-      // connection behind an ECONNABORTED/EPROTO is gone, and EINTR aborted
-      // nothing -- neither says the listen socket is bad. The skip budget
-      // bounds an injected errno burst to one batch's worth of retries.
-      if (errno == EINTR) {
-        ++eintr;
-        if (++soft_skips <= limit) continue;
-      } else if (errno == ECONNABORTED) {
-        ++aborted;
-        if (++soft_skips <= limit) continue;
-      } else if (errno == EPROTO) {
-        ++eproto;
-        if (++soft_skips <= limit) continue;
-      } else if (errno == EMFILE || errno == ENFILE) {
-        fd_exhausted = true;
+      // The skip budget bounds an injected errno burst to one batch's worth
+      // of retries.
+      if (SortAcceptError(errno, src.fd) && ++soft_skips <= limit) {
+        continue;
       }
-      break;  // EAGAIN (drained), or a hard error: retry next wakeup
-    }
-    size_t qi = default_qi;
-    if (steer && peer.ss_family == AF_INET) {
-      // Flow-group steering: the connection belongs to whichever core owns
-      // its source port's group. With cBPF attached the kernel already
-      // delivered the SYN to the owner's shard, so owner == self except
-      // for connections in flight across a migration; in fallback mode
-      // this re-steer IS the steering (one cross-core ring push).
-      CoreId owner = shared_->director->OwnerOfPort(
-          ntohs(reinterpret_cast<const sockaddr_in*>(&peer)->sin_port));
-      if (owner >= 0 && owner < shared_->num_reactors) {
-        qi = static_cast<size_t>(owner);
-      }
-      if (qi == static_cast<size_t>(index_)) {
-        ++owner_accepts;
-      } else {
-        ++cross_accepts;
-      }
+      break;  // EAGAIN (drained), fd exhaustion, or a hard error: retry next wakeup
     }
     batch[n].fd = fd;
-    batch[n].qi = static_cast<uint32_t>(qi);
+    batch[n].qi = RouteAccepted(src, fd, &peer);
     batch[n].src = static_cast<uint32_t>(src_idx);
     ++n;
   }
-  if (eintr > 0) {
-    hot_.accept_eintr->fetch_add(eintr, std::memory_order_relaxed);
-  }
-  if (aborted > 0) {
-    hot_.accept_econnaborted->fetch_add(aborted, std::memory_order_relaxed);
-  }
-  if (eproto > 0) {
-    hot_.accept_eproto->fetch_add(eproto, std::memory_order_relaxed);
-  }
   if (n > 0) {
-    backoff_ms_ = 0;  // fd pressure is over: reset the exponential window
+    AdmitBatch(batch, n, now);
   }
-  if (fd_exhausted) {
-    FdExhaustionRescue(src.fd);
+}
+
+uint32_t Reactor::RouteAccepted(const ListenSource& src, int fd, const sockaddr_storage* peer) {
+  backoff_ms_ = 0;  // fds are flowing again: reset the exponential window
+  // Steering decisions apply only to the primary TCP listener: its source
+  // ports are the flow-group key. Extra ports and UNIX sockets keep plain
+  // accepting-core affinity.
+  if (shared_->director == nullptr || src.listener == nullptr || src.listener->id != 0 ||
+      src.listener->is_unix) {
+    return src.qi;
   }
-  if (n == 0) {
-    return;
+  sockaddr_storage recovered;
+  if (peer == nullptr) {
+    socklen_t len = sizeof(recovered);
+    if (getpeername(fd, reinterpret_cast<sockaddr*>(&recovered), &len) != 0) {
+      return src.qi;
+    }
+    peer = &recovered;
   }
-  AdmitBatch(batch, n, now);
-  if (owner_accepts > 0) {
-    hot_.steer_owner_accepts->fetch_add(owner_accepts, std::memory_order_relaxed);
+  if (peer->ss_family != AF_INET) {
+    return src.qi;
   }
-  if (cross_accepts > 0) {
-    hot_.steer_cross_accepts->fetch_add(cross_accepts, std::memory_order_relaxed);
+  // Flow-group steering: the connection belongs to whichever core owns its
+  // source port's group. With cBPF attached the kernel already delivered
+  // the SYN to the owner's shard, so owner == self except for connections
+  // in flight across a migration; in fallback mode this re-steer IS the
+  // steering (one cross-core ring push).
+  uint32_t qi = src.qi;
+  CoreId owner = shared_->director->OwnerOfPort(
+      ntohs(reinterpret_cast<const sockaddr_in*>(peer)->sin_port));
+  if (owner >= 0 && owner < shared_->num_reactors) {
+    qi = static_cast<uint32_t>(owner);
+  }
+  Count(qi == static_cast<uint32_t>(index_) ? RtMetric::steer_owner_accepts
+                                            : RtMetric::steer_cross_accepts);
+  return qi;
+}
+
+bool Reactor::SortAcceptError(int err, int listen_fd) {
+  // The connection behind an ECONNABORTED/EPROTO is gone, and EINTR aborted
+  // nothing -- none of them says the listen socket is bad.
+  switch (err) {
+    case EINTR:
+      Count(RtMetric::accept_eintr);
+      return true;
+    case ECONNABORTED:
+      Count(RtMetric::accept_econnaborted);
+      return true;
+    case EPROTO:
+      Count(RtMetric::accept_eproto);
+      return true;
+    case EMFILE:
+    case ENFILE:
+      FdExhaustionRescue(listen_fd);
+      return false;
+    default:
+      return false;
   }
 }
 
@@ -846,19 +765,19 @@ void Reactor::AdmitBatch(const Accepted* batch, int n,
 
   // Stage 3: one flush per touched ring -- queue-length gauge and the
   // policy's EWMA/watermark update see the post-batch state once.
-  hot_.accepted->fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+  Count(RtMetric::accepted, static_cast<uint64_t>(n));
   if (overflow_drops > 0) {
-    hot_.overflow_drops->fetch_add(overflow_drops, std::memory_order_relaxed);
+    Count(RtMetric::overflow_drops, overflow_drops);
   }
   if (admission_sheds > 0) {
-    hot_.admission_shed->fetch_add(admission_sheds, std::memory_order_relaxed);
+    Count(RtMetric::admission_shed, admission_sheds);
   }
   if (pool_drops > 0) {
-    hot_.pool_exhausted->fetch_add(pool_drops, std::memory_order_relaxed);
+    Count(RtMetric::pool_exhausted, pool_drops);
   }
   for (uint32_t qi : enq_.touched) {
     QueueBatch::PerQueue& entry = enq_.q[qi];
-    hot_.queue_len[qi]->store(entry.last_len, std::memory_order_relaxed);
+    queue_len_[qi]->store(entry.last_len, std::memory_order_relaxed);
     if (shared_->policy != nullptr &&
         shared_->policy->OnEnqueueBatch(static_cast<CoreId>(qi), entry.moved, entry.last_len)) {
       RecordBusyFlip(qi, entry.last_len);
@@ -909,7 +828,7 @@ bool Reactor::PopFrom(size_t qi, ConnHandle* out) {
 void Reactor::FlushDequeues() {
   for (uint32_t qi : deq_.touched) {
     QueueBatch::PerQueue& entry = deq_.q[qi];
-    hot_.queue_len[qi]->store(entry.last_len, std::memory_order_relaxed);
+    queue_len_[qi]->store(entry.last_len, std::memory_order_relaxed);
     if (shared_->policy != nullptr &&
         shared_->policy->OnDequeueBatch(static_cast<CoreId>(qi), entry.moved, entry.last_len)) {
       RecordBusyFlip(qi, entry.last_len);
@@ -918,30 +837,27 @@ void Reactor::FlushDequeues() {
   }
   deq_.touched.clear();
   if (batch_served_local_ > 0) {
-    hot_.served_local->fetch_add(batch_served_local_, std::memory_order_relaxed);
+    Count(RtMetric::served_local, batch_served_local_);
     batch_served_local_ = 0;
   }
   if (batch_served_remote_ > 0) {
-    hot_.served_remote->fetch_add(batch_served_remote_, std::memory_order_relaxed);
+    Count(RtMetric::served_remote, batch_served_remote_);
     batch_served_remote_ = 0;
   }
 }
 
 void Reactor::RecordSteal(CoreId victim, size_t victim_len_after) {
   shared_->policy->OnSteal(index_, victim);
-  hot_.steals->fetch_add(1, std::memory_order_relaxed);
+  Count(RtMetric::steals);
   // Distance ledger: how far this steal reached. LedgerBucket is never 0
   // here (a core does not steal from itself).
   int bucket = topo::LedgerBucket(shared_->topo->Between(index_, victim));
-  hot_.steals_dist[bucket - 1]->fetch_add(1, std::memory_order_relaxed);
+  Count(DistanceRow(RtMetric::steals_same_llc, bucket));
   if (shared_->trace != nullptr) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kSteal;
-    event.core = static_cast<int16_t>(index_);
-    event.src = static_cast<int16_t>(victim);
-    event.dst = static_cast<int16_t>(index_);
-    event.qlen = static_cast<uint32_t>(victim_len_after);
-    shared_->trace->Record(index_, event);
+    Trace({.type = obs::TraceEventType::kSteal,
+           .src = static_cast<int16_t>(victim),
+           .dst = static_cast<int16_t>(index_),
+           .qlen = static_cast<uint32_t>(victim_len_after)});
   }
 }
 
@@ -989,41 +905,20 @@ bool Reactor::ServeOne(bool idle) {
         steal_first = local_len == 0 || policy->ShouldStealThisTime(me);
       }
 
-      if (steal_first) {
-        CoreId victim = policy->PickBusyVictim(me);
-        if (victim != kNoCore && PopFrom(static_cast<size_t>(victim), &conn)) {
-          Prof(obs::hwprof::Phase::kSteal);
-          RecordSteal(victim, shared_->queues[static_cast<size_t>(victim)]->size());
-          Serve(conn, /*local=*/false);
-          Prof(obs::hwprof::Phase::kServe);
-          return true;
-        }
+      if (steal_first && StealFrom(policy->PickBusyVictim(me))) {
+        return true;
       }
       if (PopFrom(static_cast<size_t>(me), &conn)) {
         Serve(conn, /*local=*/true);
         return true;
       }
-      if (may_steal && !steal_first) {
-        CoreId victim = policy->PickBusyVictim(me);
-        if (victim != kNoCore && PopFrom(static_cast<size_t>(victim), &conn)) {
-          Prof(obs::hwprof::Phase::kSteal);
-          RecordSteal(victim, shared_->queues[static_cast<size_t>(victim)]->size());
-          Serve(conn, /*local=*/false);
-          Prof(obs::hwprof::Phase::kServe);
-          return true;
-        }
+      if (may_steal && !steal_first && StealFrom(policy->PickBusyVictim(me))) {
+        return true;
       }
       if (idle && !self_busy) {
-        CoreId victim = policy->PickAnyVictim(me, [this](CoreId c) {
+        return StealFrom(policy->PickAnyVictim(me, [this](CoreId c) {
           return shared_->queues[static_cast<size_t>(c)]->size() > 0;
-        });
-        if (victim != kNoCore && PopFrom(static_cast<size_t>(victim), &conn)) {
-          Prof(obs::hwprof::Phase::kSteal);
-          RecordSteal(victim, shared_->queues[static_cast<size_t>(victim)]->size());
-          Serve(conn, /*local=*/false);
-          Prof(obs::hwprof::Phase::kServe);
-          return true;
-        }
+        }));
       }
       return false;
     }
@@ -1031,9 +926,21 @@ bool Reactor::ServeOne(bool idle) {
   return false;
 }
 
+bool Reactor::StealFrom(CoreId victim) {
+  ConnHandle conn = kNullConn;
+  if (victim == kNoCore || !PopFrom(static_cast<size_t>(victim), &conn)) {
+    return false;
+  }
+  Prof(obs::hwprof::Phase::kSteal);
+  RecordSteal(victim, shared_->queues[static_cast<size_t>(victim)]->size());
+  Serve(conn, /*local=*/false);
+  Prof(obs::hwprof::Phase::kServe);
+  return true;
+}
+
 void Reactor::Serve(ConnHandle handle, bool local) {
   PendingConn* conn = shared_->pool->Get(handle);
-  hot_.queue_wait->Add(ToNs(std::chrono::steady_clock::now() - conn->accepted_at));
+  hists_[RtMetric::queue_wait_ns]->Add(ToNs(std::chrono::steady_clock::now() - conn->accepted_at));
   // The locality ledger's moment of truth: the first serving core is now
   // known. Core locality is a different fact from ring locality (`local`):
   // stock mode's one shared ring makes every pop ring-local, and steering
@@ -1047,7 +954,7 @@ void Reactor::Serve(ConnHandle handle, bool local) {
                         : topo::LedgerBucket(shared_->topo->Between(
                               static_cast<CoreId>(conn->accept_core), index_));
   if (!core_local) {
-    hot_.conn_migrations->fetch_add(1, std::memory_order_relaxed);
+    Count(RtMetric::conn_migrations);
   }
   svc::ConnHandler* handler = shared_->listeners[conn->svc.listener]->handler;
   if (handler == nullptr) {
@@ -1060,10 +967,10 @@ void Reactor::Serve(ConnHandle handle, bool local) {
       ++batch_served_remote_;
     }
     if (core_local) {
-      hot_.requests_local_core->fetch_add(1, std::memory_order_relaxed);
+      Count(RtMetric::requests_local_core);
     } else {
-      hot_.requests_remote_core->fetch_add(1, std::memory_order_relaxed);
-      hot_.requests_dist[dist_bucket - 1]->fetch_add(1, std::memory_order_relaxed);
+      Count(RtMetric::requests_remote_core);
+      Count(DistanceRow(RtMetric::requests_same_llc, dist_bucket));
     }
     char byte = 'A';
     (void)send(conn->fd, &byte, 1, MSG_NOSIGNAL);
@@ -1083,13 +990,9 @@ void Reactor::Serve(ConnHandle handle, bool local) {
   st.opened = true;
   OpenListAdd(handle, conn);
   ++open_count_;
-  hot_.conn_open->store(open_count_, std::memory_order_relaxed);
+  cells_[RtMetric::open_conns]->store(open_count_, std::memory_order_relaxed);
   if (shared_->trace != nullptr) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kConnOpen;
-    event.core = static_cast<int16_t>(index_);
-    event.src = static_cast<int16_t>(st.listener);
-    shared_->trace->Record(index_, event);
+    Trace({.type = obs::TraceEventType::kConnOpen, .src = static_cast<int16_t>(st.listener)});
   }
   // The absolute lifetime cap starts at first service touch and never
   // re-arms; it rides in the pool block like the phase timer, on THIS
@@ -1139,21 +1042,20 @@ void Reactor::NoteRounds(PendingConn* conn, uint16_t prev_rounds) {
   // rounds_done wraps at 65536: the difference must wrap with it, or the
   // 65536th round of a connection would count as ~4.29e9.
   uint32_t delta = static_cast<uint16_t>(done - prev_rounds);
-  hot_.requests->fetch_add(delta, std::memory_order_relaxed);
+  Count(RtMetric::requests, delta);
   // Ledger: these rounds ran on the core recorded at Serve() time. A held
   // connection never changes reactors mid-conversation, so the bucket set
   // there is exact for every round.
   if (conn->svc.accept_local) {
-    hot_.requests_local_core->fetch_add(delta, std::memory_order_relaxed);
+    Count(RtMetric::requests_local_core, delta);
   } else {
-    hot_.requests_remote_core->fetch_add(delta, std::memory_order_relaxed);
-    hot_.requests_dist[conn->svc.accept_dist - 1]->fetch_add(delta,
-                                                             std::memory_order_relaxed);
+    Count(RtMetric::requests_remote_core, delta);
+    Count(DistanceRow(RtMetric::requests_same_llc, conn->svc.accept_dist), delta);
   }
   // The built-in handlers complete at most one round per call; a handler
   // that completes several books each at the last round's latency.
   for (uint32_t i = 0; i < delta; ++i) {
-    hot_.request_latency->Add(conn->svc.last_request_ns);
+    hists_[RtMetric::request_latency_ns]->Add(conn->svc.last_request_ns);
   }
 }
 
@@ -1295,8 +1197,7 @@ int Reactor::EvictIdleConns(int max_evict) {
     }
   }
   if (evicted > 0) {
-    hot_.pool_evictions->fetch_add(static_cast<uint64_t>(evicted),
-                                   std::memory_order_relaxed);
+    Count(RtMetric::pool_evictions, static_cast<uint64_t>(evicted));
   }
   return evicted;
 }
@@ -1324,14 +1225,11 @@ void Reactor::CloseConn(ConnHandle handle, PendingConn* conn, bool rst,
   }
   OpenListRemove(handle, conn);
   --open_count_;
-  hot_.conn_open->store(open_count_, std::memory_order_relaxed);
+  cells_[RtMetric::open_conns]->store(open_count_, std::memory_order_relaxed);
   if (shared_->trace != nullptr) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kConnClose;
-    event.core = static_cast<int16_t>(index_);
-    event.src = static_cast<int16_t>(st.listener);
-    event.qlen = st.rounds_done;
-    shared_->trace->Record(index_, event);
+    Trace({.type = obs::TraceEventType::kConnClose,
+           .src = static_cast<int16_t>(st.listener),
+           .qlen = st.rounds_done});
   }
   if (rst) {
     RstClose(conn->fd);
@@ -1342,8 +1240,7 @@ void Reactor::CloseConn(ConnHandle handle, PendingConn* conn, bool rst,
     // A deadline expiry (or pool-pressure eviction) is not service: it
     // lands in its classified rt_timeouts_* bucket -- the `timed_out` term
     // of the conservation equation -- never in served.
-    hot_.timeouts[static_cast<int>(timeout) - 1]->fetch_add(
-        1, std::memory_order_relaxed);
+    Count(TimeoutRow(timeout));
   } else {
     // Served accounting happens at close, under the locality recorded when
     // the connection was popped -- held-open connections are in
@@ -1357,7 +1254,7 @@ void Reactor::CloseConn(ConnHandle handle, PendingConn* conn, bool rst,
     if (shared_->draining.load(std::memory_order_relaxed)) {
       // A conversation that finished normally inside the drain window: the
       // graceful half of Stop(drain_deadline_ms)'s ledger.
-      hot_.drained_gracefully->fetch_add(1, std::memory_order_relaxed);
+      Count(RtMetric::drained_gracefully);
     }
   }
   FreeConn(handle);
@@ -1370,7 +1267,7 @@ void Reactor::FreeConn(ConnHandle handle) {
   CoreId owner = shared_->pool->OwnerOf(handle);
   shared_->pool->Free(index_, handle);
   if (owner != index_) {
-    hot_.conn_remote_frees->fetch_add(1, std::memory_order_relaxed);
+    Count(RtMetric::conn_remote_frees);
   }
 }
 
@@ -1417,10 +1314,10 @@ void Reactor::CloseAllOpen() {
     ++aborted;
   }
   if (aborted > 0) {
-    hot_.aborted_at_stop->fetch_add(aborted, std::memory_order_relaxed);
+    Count(RtMetric::aborted_at_stop, aborted);
   }
   open_count_ = 0;
-  hot_.conn_open->store(0, std::memory_order_relaxed);
+  cells_[RtMetric::open_conns]->store(0, std::memory_order_relaxed);
 }
 
 }  // namespace rt

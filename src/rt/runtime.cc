@@ -25,6 +25,22 @@ std::string AutoUnixPath(int listener_id) {
   return buf;
 }
 
+// One metric-table row's value: core `core`'s cell, or with core < 0 the
+// total (counters and gauges summed over cores, histograms merged). A row
+// this config did not register (steering off) stays 0.
+void ReadRow(const obs::MetricsRegistry& metrics, obs::MetricsRegistry::MetricId id, int core,
+             uint64_t* out) {
+  if (id != kNoMetric) {
+    *out = core < 0 ? metrics.Total(id) : metrics.Value(id, core);
+  }
+}
+void ReadRow(const obs::MetricsRegistry& metrics, obs::MetricsRegistry::MetricId id, int core,
+             Histogram* out) {
+  if (id != kNoMetric) {
+    *out = core < 0 ? metrics.HistogramMerged(id) : metrics.HistogramSnapshot(id, core);
+  }
+}
+
 }  // namespace
 
 bool ValidateRtConfig(const RtConfig& config, std::string* error) {
@@ -141,108 +157,19 @@ Runtime::Runtime(const RtConfig& config) : config_(config) {
   // Register everything up front: registration is the only non-thread-safe
   // registry operation, and the reactor threads don't exist yet.
   metrics_.reset(new obs::MetricsRegistry(config_.num_threads));
-  ids_.accepted = metrics_->RegisterCounter("rt_accepted", "connections returned by accept()");
-  ids_.served_local =
-      metrics_->RegisterCounter("rt_served_local", "connections served from the core's own queue");
-  ids_.served_remote =
-      metrics_->RegisterCounter("rt_served_remote", "connections served from another core's queue");
-  ids_.steals = metrics_->RegisterCounter("rt_steals", "affinity-mode connection steals");
-  ids_.overflow_drops =
-      metrics_->RegisterCounter("rt_overflow_drops", "connections dropped on a full local queue");
-  ids_.epoll_wakeups = metrics_->RegisterCounter("rt_epoll_wakeups", "epoll_wait returns with work");
-  ids_.to_busy =
-      metrics_->RegisterCounter("rt_transitions_to_busy", "high-watermark busy-bit sets");
-  ids_.to_nonbusy =
-      metrics_->RegisterCounter("rt_transitions_to_nonbusy", "low-watermark busy-bit clears");
-  ids_.conn_remote_frees = metrics_->RegisterCounter(
-      "rt_conn_remote_frees", "PendingConn blocks freed by a core other than their owner");
-  ids_.pool_exhausted = metrics_->RegisterCounter(
-      "rt_pool_exhausted", "connections dropped because the conn pool had no free block");
-  ids_.accept_eintr =
-      metrics_->RegisterCounter("rt_accept_eintr", "accept4 EINTR skip-and-continue");
-  ids_.accept_econnaborted = metrics_->RegisterCounter(
-      "rt_accept_econnaborted", "accept4 ECONNABORTED: connection gone before accept");
-  ids_.accept_eproto =
-      metrics_->RegisterCounter("rt_accept_eproto", "accept4 EPROTO skip-and-continue");
-  ids_.accept_emfile =
-      metrics_->RegisterCounter("rt_accept_emfile", "accept4 EMFILE/ENFILE: out of fds");
-  ids_.accept_backoff = metrics_->RegisterCounter(
-      "rt_accept_backoff", "capped exponential accept backoff windows entered");
-  ids_.admission_shed = metrics_->RegisterCounter(
-      "rt_admission_shed", "connections accepted then shed (RST) by the admission policy");
-  ids_.fault_injected =
-      metrics_->RegisterCounter("rt_fault_injected", "faults injected by the chaos plan");
-  ids_.failovers =
-      metrics_->RegisterCounter("rt_failovers", "watchdog failovers won by this core");
-  ids_.recoveries =
-      metrics_->RegisterCounter("rt_recoveries", "reactors recovered after failover");
-  ids_.failover_group_moves = metrics_->RegisterCounter(
-      "rt_failover_group_moves", "flow groups mass-moved by failover/recovery");
-  ids_.reactor_dead =
-      metrics_->RegisterGauge("rt_reactor_dead", "1 = this reactor is marked dead");
-  ids_.queue_len = metrics_->RegisterGauge("rt_queue_len", "accept-queue length at last update");
-  ids_.busy = metrics_->RegisterGauge("rt_busy", "busy bit (1 = over high watermark)");
-  ids_.queue_wait =
-      metrics_->RegisterHistogram("rt_queue_wait_ns", "accept() -> service latency per connection");
-  ids_.requests =
-      metrics_->RegisterCounter("rt_requests", "completed request/response rounds (svc handlers)");
-  ids_.aborted_at_stop = metrics_->RegisterCounter(
-      "rt_aborted_at_stop", "held connections closed by a reactor's Run() exit");
-  ids_.conn_open =
-      metrics_->RegisterGauge("rt_conn_open", "connections currently mid-conversation");
-  ids_.request_latency = metrics_->RegisterHistogram(
-      "rt_request_latency_ns", "per-request service time, first byte to response flushed");
-  ids_.requests_local_core = metrics_->RegisterCounter(
-      "rt_requests_local_core", "requests served on the core that accepted the connection");
-  ids_.requests_remote_core = metrics_->RegisterCounter(
-      "rt_requests_remote_core", "requests served on a core other than the acceptor");
-  ids_.conn_migrations = metrics_->RegisterCounter(
-      "rt_conn_migrations", "connections first served by a core other than their acceptor");
-  ids_.requests_same_llc = metrics_->RegisterCounter(
-      "rt_requests_same_llc", "remote-core requests where both cores share the LLC");
-  ids_.requests_cross_llc = metrics_->RegisterCounter(
-      "rt_requests_cross_llc", "remote-core requests crossing LLCs on one node");
-  ids_.requests_cross_node = metrics_->RegisterCounter(
-      "rt_requests_cross_node", "remote-core requests crossing NUMA nodes");
-  ids_.steals_same_llc = metrics_->RegisterCounter(
-      "rt_steals_same_llc", "steals where thief and victim share the LLC");
-  ids_.steals_cross_llc = metrics_->RegisterCounter(
-      "rt_steals_cross_llc", "steals crossing LLCs on one node");
-  ids_.steals_cross_node = metrics_->RegisterCounter(
-      "rt_steals_cross_node", "steals crossing NUMA nodes");
-  ids_.timeouts_handshake = metrics_->RegisterCounter(
-      "rt_timeouts_handshake", "conns closed by the accept-to-first-byte deadline");
-  ids_.timeouts_idle = metrics_->RegisterCounter(
-      "rt_timeouts_idle",
-      "conns closed by the between-requests idle deadline (incl. pool evictions)");
-  ids_.timeouts_read = metrics_->RegisterCounter(
-      "rt_timeouts_read", "conns closed by the per-request read deadline");
-  ids_.timeouts_write = metrics_->RegisterCounter(
-      "rt_timeouts_write", "conns closed by the per-response write deadline");
-  ids_.timeouts_lifetime = metrics_->RegisterCounter(
-      "rt_timeouts_lifetime", "conns closed by the absolute max-lifetime cap");
-  ids_.pool_evictions = metrics_->RegisterCounter(
-      "rt_pool_evictions",
-      "idle conns reaped under pool pressure (subset of rt_timeouts_idle)");
-  ids_.drained_gracefully = metrics_->RegisterCounter(
-      "rt_drained_gracefully",
-      "conns that finished normally inside a drain window (subset of served)");
-  ids_.drain_duration = metrics_->RegisterHistogram(
-      "rt_drain_duration_ns", "wall duration of each Stop() drain window");
-  if (config_.steer && config_.mode == RtMode::kAffinity) {
-    ids_.migrations_suppressed = metrics_->RegisterCounter(
-        "rt_migrations_suppressed",
-        "balancer epochs where hysteresis held back every candidate group");
-    ids_.steer_owner_accepts = metrics_->RegisterCounter(
-        "rt_steer_owner_accepts", "connections accepted on the shard owning their flow group");
-    ids_.steer_cross_accepts = metrics_->RegisterCounter(
-        "rt_steer_cross_accepts", "connections re-steered in user space to their owner's queue");
-    ids_.migrations =
-        metrics_->RegisterCounter("rt_migrations", "flow groups pulled by the long-term balancer");
-    ids_.steer_cbpf =
-        metrics_->RegisterGauge("rt_steer_cbpf", "1 = SO_ATTACH_REUSEPORT_CBPF program attached");
-    ids_.groups_owned =
-        metrics_->RegisterGauge("rt_steer_groups_owned", "steering-table flow groups per core");
+  const bool steer = config_.steer && config_.mode == RtMode::kAffinity;
+  for (int m = 0; m < RtMetric::kCount; ++m) {
+    const RtMetricDef& def = kRtMetricDefs[m];
+    obs::MetricsRegistry::MetricId& id = shared_.ids[static_cast<size_t>(m)];
+    if (def.when == RtWhen::kSteer && !steer) {
+      id = kNoMetric;
+    } else if (def.kind == RtKind::kCounter) {
+      id = metrics_->RegisterCounter(def.name, def.help);
+    } else if (def.kind == RtKind::kGauge) {
+      id = metrics_->RegisterGauge(def.name, def.help);
+    } else {
+      id = metrics_->RegisterHistogram(def.name, def.help);
+    }
   }
   if (config_.trace_capacity > 0) {
     trace_.reset(new obs::TraceRing(config_.num_threads, config_.trace_capacity));
@@ -379,7 +306,6 @@ bool Runtime::Start(std::string* error) {
   shared_.backend = resolved_backend_;
   shared_.uring_fixed_files = config_.uring_fixed_files;
   shared_.metrics = metrics_.get();
-  shared_.ids = ids_;
   shared_.trace = trace_.get();
   for (const std::unique_ptr<RtListener>& listener : rt_listeners_) {
     shared_.listeners.push_back(listener.get());
@@ -412,7 +338,7 @@ bool Runtime::Start(std::string* error) {
     injector_.reset(new fault::FaultInjector(config_.fault_plan, config_.num_threads));
     injector_->set_stop_flag(&shared_.stop);
     injector_->set_on_inject([this](fault::CallSite, int core) {
-      metrics_->Add(ids_.fault_injected, core);
+      metrics_->Add(shared_.ids[RtMetric::fault_injected], core);
     });
     shared_.sys = injector_.get();
   } else {
@@ -429,7 +355,7 @@ bool Runtime::Start(std::string* error) {
     shared_.watchdog_timeout_ms = 0;
   }
   for (int i = 0; i < config_.num_threads; ++i) {
-    metrics_->GaugeSet(ids_.reactor_dead, i, 0);
+    metrics_->GaugeSet(shared_.ids[RtMetric::reactor_dead], i, 0);
   }
 
   // Resolve the hardware topology before anything that picks a peer core
@@ -500,10 +426,10 @@ bool Runtime::Start(std::string* error) {
     }
     shared_.director = director_.get();
     shared_.migrate_interval_ms = config_.migrate_interval_ms;
-    metrics_->GaugeSet(ids_.steer_cbpf, 0,
+    metrics_->GaugeSet(shared_.ids[RtMetric::steer_cbpf], 0,
                        director_->kernel_steering() == steer::KernelSteering::kAttached ? 1 : 0);
     for (int i = 0; i < config_.num_threads; ++i) {
-      metrics_->GaugeSet(ids_.groups_owned, i,
+      metrics_->GaugeSet(shared_.ids[RtMetric::steer_groups_owned], i,
                          static_cast<uint64_t>(director_->table().OwnedBy(i)));
     }
   }
@@ -538,7 +464,7 @@ void Runtime::Stop(int drain_deadline_ms) {
     auto deadline = start + std::chrono::milliseconds(drain_deadline_ms);
     shared_.draining.store(true, std::memory_order_release);
     for (;;) {
-      bool quiet = metrics_->Total(ids_.conn_open) == 0;
+      bool quiet = metrics_->Total(shared_.ids[RtMetric::open_conns]) == 0;
       if (quiet) {
         for (const auto& queue : shared_.queues) {
           if (queue->size() != 0) {
@@ -552,7 +478,7 @@ void Runtime::Stop(int drain_deadline_ms) {
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    metrics_->Observe(ids_.drain_duration, 0,
+    metrics_->Observe(shared_.ids[RtMetric::drain_duration_ns], 0,
                       static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                                 std::chrono::steady_clock::now() - start)
                                                 .count()));
@@ -591,66 +517,27 @@ void Runtime::Stop(int drain_deadline_ms) {
   started_ = false;
 }
 
+void Runtime::ReadRows(int core, RtMetricValues* out) const {
+#define AFF_RT_READ(field, name, kind, when, ledger, help) \
+  ReadRow(*metrics_, shared_.ids[RtMetric::field], core, &out->field);
+  AFF_RT_METRICS(AFF_RT_READ)
+#undef AFF_RT_READ
+}
+
 ReactorStats Runtime::reactor_stats(int i) const {
   ReactorStats s;
-  s.accepted = metrics_->Value(ids_.accepted, i);
-  s.served_local = metrics_->Value(ids_.served_local, i);
-  s.served_remote = metrics_->Value(ids_.served_remote, i);
-  s.steals = metrics_->Value(ids_.steals, i);
-  s.overflow_drops = metrics_->Value(ids_.overflow_drops, i);
-  s.epoll_wakeups = metrics_->Value(ids_.epoll_wakeups, i);
-  s.queue_wait_ns = metrics_->HistogramSnapshot(ids_.queue_wait, i);
+  ReadRows(i, &s);
   return s;
 }
 
 RtTotals Runtime::Totals() const {
   RtTotals totals;
-  totals.accepted = metrics_->Total(ids_.accepted);
-  totals.served_local = metrics_->Total(ids_.served_local);
-  totals.served_remote = metrics_->Total(ids_.served_remote);
-  totals.steals = metrics_->Total(ids_.steals);
-  totals.overflow_drops = metrics_->Total(ids_.overflow_drops);
-  totals.transitions_to_busy = metrics_->Total(ids_.to_busy);
-  totals.transitions_to_nonbusy = metrics_->Total(ids_.to_nonbusy);
-  totals.conn_remote_frees = metrics_->Total(ids_.conn_remote_frees);
-  totals.pool_exhausted = metrics_->Total(ids_.pool_exhausted);
-  totals.accept_eintr = metrics_->Total(ids_.accept_eintr);
-  totals.accept_econnaborted = metrics_->Total(ids_.accept_econnaborted);
-  totals.accept_eproto = metrics_->Total(ids_.accept_eproto);
-  totals.accept_emfile = metrics_->Total(ids_.accept_emfile);
-  totals.accept_backoff = metrics_->Total(ids_.accept_backoff);
-  totals.admission_shed = metrics_->Total(ids_.admission_shed);
-  totals.fault_injected = metrics_->Total(ids_.fault_injected);
-  totals.failovers = metrics_->Total(ids_.failovers);
-  totals.recoveries = metrics_->Total(ids_.recoveries);
-  totals.failover_group_moves = metrics_->Total(ids_.failover_group_moves);
+  ReadRows(/*core=*/-1, &totals);
+  totals.drained_at_stop = drained_at_stop_.load(std::memory_order_acquire);
   if (pool_ != nullptr) {
     totals.pool = pool_->StatsSnapshot();
+    totals.pool_numa_bound_cores = pool_->numa_bound_cores();
   }
-  if (director_ != nullptr) {
-    totals.steer_owner_accepts = metrics_->Total(ids_.steer_owner_accepts);
-    totals.steer_cross_accepts = metrics_->Total(ids_.steer_cross_accepts);
-    totals.migrations = metrics_->Total(ids_.migrations);
-    totals.migrations_suppressed = metrics_->Total(ids_.migrations_suppressed);
-  }
-  totals.timeouts_handshake = metrics_->Total(ids_.timeouts_handshake);
-  totals.timeouts_idle = metrics_->Total(ids_.timeouts_idle);
-  totals.timeouts_read = metrics_->Total(ids_.timeouts_read);
-  totals.timeouts_write = metrics_->Total(ids_.timeouts_write);
-  totals.timeouts_lifetime = metrics_->Total(ids_.timeouts_lifetime);
-  totals.pool_evictions = metrics_->Total(ids_.pool_evictions);
-  totals.drained_gracefully = metrics_->Total(ids_.drained_gracefully);
-  totals.drain_duration_ns = metrics_->HistogramMerged(ids_.drain_duration);
-  totals.requests = metrics_->Total(ids_.requests);
-  totals.requests_local_core = metrics_->Total(ids_.requests_local_core);
-  totals.requests_remote_core = metrics_->Total(ids_.requests_remote_core);
-  totals.conn_migrations = metrics_->Total(ids_.conn_migrations);
-  totals.requests_same_llc = metrics_->Total(ids_.requests_same_llc);
-  totals.requests_cross_llc = metrics_->Total(ids_.requests_cross_llc);
-  totals.requests_cross_node = metrics_->Total(ids_.requests_cross_node);
-  totals.steals_same_llc = metrics_->Total(ids_.steals_same_llc);
-  totals.steals_cross_llc = metrics_->Total(ids_.steals_cross_llc);
-  totals.steals_cross_node = metrics_->Total(ids_.steals_cross_node);
   if (director_ != nullptr) {
     steer::ParkDistances park = director_->park_distances();
     totals.park_same_llc = park.same_llc;
@@ -663,9 +550,6 @@ RtTotals Runtime::Totals() const {
     totals.llc_domains = topo_->num_llc_domains();
     totals.topo_flat_reason = topo_->flat_reason();
   }
-  if (pool_ != nullptr) {
-    totals.pool_numa_bound_cores = pool_->numa_bound_cores();
-  }
   if (hwprof_ != nullptr) {
     totals.hwprof_enabled = true;
     totals.hw_available_cores = hwprof_->AvailableCores();
@@ -677,15 +561,10 @@ RtTotals Runtime::Totals() const {
     totals.hw_context_switches =
         hwprof_->EstimatedTotal(obs::hwprof::HwEvent::kContextSwitches);
   }
-  totals.aborted_at_stop = metrics_->Total(ids_.aborted_at_stop);
-  totals.open_conns = metrics_->Total(ids_.conn_open);
   totals.per_listener_accepted.reserve(rt_listeners_.size());
   for (const std::unique_ptr<RtListener>& listener : rt_listeners_) {
     totals.per_listener_accepted.push_back(listener->accepted.load(std::memory_order_relaxed));
   }
-  totals.queue_wait_ns = metrics_->HistogramMerged(ids_.queue_wait);
-  totals.request_latency_ns = metrics_->HistogramMerged(ids_.request_latency);
-  totals.drained_at_stop = drained_at_stop_.load(std::memory_order_acquire);
   return totals;
 }
 

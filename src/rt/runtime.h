@@ -12,6 +12,11 @@
 // Stop() returns. Balancer decisions (steals, busy flips, overflow drops)
 // are additionally recorded into an obs::TraceRing for per-decision
 // debugging.
+//
+// Every rt_* series is declared once, as a row of the metric table
+// (src/rt/metric_table.h). The row generates its registration, the
+// reactors' pre-resolved hot cell, its RtTotals field, and its term (if
+// any) in the conservation ledger that RtTotals::accounted() evaluates.
 
 #ifndef AFFINITY_SRC_RT_RUNTIME_H_
 #define AFFINITY_SRC_RT_RUNTIME_H_
@@ -31,6 +36,7 @@
 #include "src/obs/hwprof/hwprof.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_ring.h"
+#include "src/rt/metric_table.h"
 #include "src/rt/reactor.h"
 #include "src/sim/stats.h"
 #include "src/steer/flow_director.h"
@@ -199,73 +205,12 @@ struct RtConfig {
 bool ValidateRtConfig(const RtConfig& config, std::string* error);
 
 // Aggregated over all reactors. Valid at any time (live snapshot); see the
-// header comment for the mid-run semantics.
-struct RtTotals {
-  uint64_t accepted = 0;
-  uint64_t served_local = 0;
-  uint64_t served_remote = 0;
-  uint64_t steals = 0;
-  uint64_t overflow_drops = 0;
+// header comment for the mid-run semantics. The base holds one field per
+// metric-table row, summed (counters, gauges) or merged (histograms) over
+// the cores.
+struct RtTotals : RtMetricValues {
   uint64_t drained_at_stop = 0;  // queued but unserved when Stop() ran
-  uint64_t transitions_to_busy = 0;
-  uint64_t transitions_to_nonbusy = 0;
-  // Slab-pool discipline (paper Section 2.2 on live connection state):
-  uint64_t conn_remote_frees = 0;  // PendingConn blocks freed off their owner core
-  uint64_t pool_exhausted = 0;     // accepts dropped for want of a pool block
-  SlabStats pool;                  // the ConnPool's own per-core accounting
-  // Steering (0 when config.steer is off):
-  uint64_t steer_owner_accepts = 0;  // accepted directly on the owning shard
-  uint64_t steer_cross_accepts = 0;  // accepted elsewhere, re-steered in user space
-  uint64_t migrations = 0;           // flow groups moved by the 100 ms balancer
-  // Robustness (fault injection, failure domains, shaped overload):
-  uint64_t accept_eintr = 0;
-  uint64_t accept_econnaborted = 0;
-  uint64_t accept_eproto = 0;
-  uint64_t accept_emfile = 0;      // EMFILE/ENFILE hits in the accept loop
-  uint64_t accept_backoff = 0;     // exponential backoff windows entered
-  uint64_t admission_shed = 0;     // accepted then shed (RST) by admission
-  uint64_t fault_injected = 0;     // chaos-plan injections that fired
-  uint64_t failovers = 0;          // watchdog failovers won
-  uint64_t recoveries = 0;         // reactors that came back
-  uint64_t failover_group_moves = 0;  // flow groups mass-moved by fail/recover
-  // Request/response service layer (0 under the kAccept workload):
-  uint64_t requests = 0;         // completed request/response rounds
-  uint64_t aborted_at_stop = 0;  // held conns closed by a reactor's Run() exit
-  uint64_t open_conns = 0;       // conns currently mid-conversation (gauge)
-  // Connection-lifecycle deadlines (0 with no deadline configured): expiry
-  // closes by class. Their sum is the conservation equation's timed_out
-  // term -- a timed-out connection is neither served nor aborted.
-  uint64_t timeouts_handshake = 0;
-  uint64_t timeouts_idle = 0;
-  uint64_t timeouts_read = 0;
-  uint64_t timeouts_write = 0;
-  uint64_t timeouts_lifetime = 0;
-  // Idle conns reaped by pool-pressure eviction; informational subset of
-  // timeouts_idle (an eviction is accounted as an idle timeout).
-  uint64_t pool_evictions = 0;
-  // Conns that finished normally while a drain was in progress;
-  // informational subset of served(), NOT a separate conservation term.
-  uint64_t drained_gracefully = 0;
-  // Balancer epoch decisions damped by migrate_min_epochs.
-  uint64_t migrations_suppressed = 0;
-  // Connection-locality ledger: requests (legacy workload: connections)
-  // served on vs off their ACCEPTING core, and connections whose first
-  // serving core differed from the acceptor. This is the paper's headline
-  // number made live -- affinity mode should hold locality_fraction near 1
-  // while stock/fine sit near 1/num_threads.
-  uint64_t requests_local_core = 0;
-  uint64_t requests_remote_core = 0;
-  uint64_t conn_migrations = 0;
-  // Distance split of the remote half (src/topo LedgerBucket): same_llc +
-  // cross_llc + cross_node == requests_remote_core in every mode (flat
-  // folds all remote traffic into same_llc).
-  uint64_t requests_same_llc = 0;
-  uint64_t requests_cross_llc = 0;
-  uint64_t requests_cross_node = 0;
-  // Steals by thief-to-victim distance (sums to steals).
-  uint64_t steals_same_llc = 0;
-  uint64_t steals_cross_llc = 0;
-  uint64_t steals_cross_node = 0;
+  SlabStats pool;                // the ConnPool's own per-core accounting
   // Failover parking moves by dead-owner-to-target distance.
   uint64_t park_same_llc = 0;
   uint64_t park_cross_llc = 0;
@@ -287,16 +232,10 @@ struct RtTotals {
   uint64_t hw_task_clock_ns = 0;
   uint64_t hw_context_switches = 0;
   std::vector<uint64_t> per_listener_accepted;  // indexed by listener id
-  Histogram queue_wait_ns;
-  Histogram request_latency_ns;  // per-request service time (svc handlers)
-  Histogram drain_duration_ns;   // one sample per Stop() that ran a drain
   uint64_t served() const { return served_local + served_remote; }
   // Deadline-expired closes across all five classes: the timed_out term of
-  // the conservation equation.
-  uint64_t timed_out() const {
-    return timeouts_handshake + timeouts_idle + timeouts_read + timeouts_write +
-           timeouts_lifetime;
-  }
+  // the conservation equation (the table's kTimedOut rows).
+  uint64_t timed_out() const { return LedgerSum(RtLedger::kTimedOut); }
   // The locality score: fraction of requests served on their accepting
   // core. Negative when nothing has been served yet.
   double locality_fraction() const {
@@ -306,12 +245,21 @@ struct RtTotals {
   // Connection conservation: every accepted connection is exactly one of
   // served (closed after service), currently open, aborted by a stopping
   // reactor, drained at stop, overflow-dropped, admission-shed, or closed
-  // by a lifecycle deadline. The chaos tests gate on this equation holding
+  // by a lifecycle deadline -- the table's kAccounted rows, timed_out(),
+  // and drained_at_stop. The chaos tests gate on this equation holding
   // after every run (open_conns settles to 0 once Stop() has joined the
   // reactors).
   uint64_t accounted() const {
-    return served() + open_conns + aborted_at_stop + drained_at_stop + overflow_drops +
-           admission_shed + timed_out();
+    return LedgerSum(RtLedger::kAccounted) + drained_at_stop + timed_out();
+  }
+  // The sum of the table rows whose ledger role is `role`.
+  uint64_t LedgerSum(RtLedger role) const {
+    uint64_t sum = 0;
+#define AFF_RT_TERM(field, name, kind, when, ledger, help) \
+  sum += LedgerTerm(RtLedger::ledger, role, field);
+    AFF_RT_METRICS(AFF_RT_TERM)
+#undef AFF_RT_TERM
+    return sum;
   }
 };
 
@@ -419,6 +367,10 @@ class Runtime {
   RtTotals Totals() const;
 
  private:
+  // Fills `out` from the registry: core `core`'s cells, or (core < 0) the
+  // totals over all cores.
+  void ReadRows(int core, RtMetricValues* out) const;
+
   RtConfig config_;
   uint16_t port_ = 0;
   int max_local_len_ = 0;
@@ -441,7 +393,6 @@ class Runtime {
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   std::unique_ptr<obs::TraceRing> trace_;
   std::unique_ptr<obs::hwprof::HwProf> hwprof_;
-  RtMetricIds ids_;
   ReactorShared shared_;
   std::vector<std::unique_ptr<Reactor>> reactors_;
   std::vector<std::thread> threads_;

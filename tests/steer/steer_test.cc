@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/balance/balance_policy.h"
+#include "src/io/io_backend.h"
 #include "src/rt/load_client.h"
 #include "src/rt/runtime.h"
 #include "src/steer/cbpf.h"
@@ -408,13 +409,26 @@ TEST(SteerEndToEndTest, CbpfDeliversConnectionsToTheOwningShard) {
   EXPECT_EQ(totals.accepted, totals.served() + totals.drained_at_stop + totals.overflow_drops);
 }
 
-// Forced fallback: SYNs spread by the kernel's default reuseport hash and the
-// accepting reactor re-steers each connection to its owner's queue. Serving
-// must stay correct and the books must balance.
-TEST(SteerEndToEndTest, FallbackServesCorrectly) {
-  rt::Runtime runtime(SteerConfig(/*force_fallback=*/true, /*migrate_interval_ms=*/0));
+// Forced fallback on each I/O engine: SYNs spread by the kernel's default
+// reuseport hash and the accepting reactor re-steers each connection to its
+// owner's queue -- keyed by accept4's peer address on epoll, and by one
+// getpeername per multishot-accept completion on uring. Serving must stay
+// correct, every accept must be counted as an owner or a cross accept, and
+// the books must balance.
+class SteerEndToEndEngineTest : public ::testing::TestWithParam<io::IoBackendKind> {};
+
+TEST_P(SteerEndToEndEngineTest, FallbackServesCorrectly) {
+  rt::RtConfig config = SteerConfig(/*force_fallback=*/true, /*migrate_interval_ms=*/0);
+  config.backend = GetParam();
+  rt::Runtime runtime(config);
   std::string error;
   ASSERT_TRUE(runtime.Start(&error)) << error;
+  if (runtime.io_backend() != GetParam()) {
+    // The kernel refused a ring: skip this engine's case, loudly.
+    std::string reason = runtime.backend_fallback_reason();
+    runtime.Stop();
+    GTEST_SKIP() << "uring unavailable: " << reason;
+  }
   EXPECT_EQ(runtime.kernel_steering(), KernelSteering::kFallback);
   ASSERT_NE(runtime.director(), nullptr);
 
@@ -422,11 +436,19 @@ TEST(SteerEndToEndTest, FallbackServesCorrectly) {
   runtime.Stop();
 
   rt::RtTotals totals = runtime.Totals();
+  EXPECT_GT(totals.accepted, 0u);
   EXPECT_EQ(totals.steer_owner_accepts + totals.steer_cross_accepts, totals.accepted);
   EXPECT_EQ(totals.accepted, totals.served() + totals.drained_at_stop + totals.overflow_drops);
+  EXPECT_EQ(totals.accepted, totals.accounted());
   EXPECT_EQ(totals.migrations, 0u);
   EXPECT_EQ(runtime.director()->cbpf_updates(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(BothEngines, SteerEndToEndEngineTest,
+                         ::testing::Values(io::IoBackendKind::kEpoll, io::IoBackendKind::kUring),
+                         [](const ::testing::TestParamInfo<io::IoBackendKind>& engine_info) {
+                           return std::string(io::IoBackendName(engine_info.param));
+                         });
 
 // Skewed load (every source port's group owned by core 0) plus the 100 ms
 // balancer: other cores steal from core 0, then migrate its groups to

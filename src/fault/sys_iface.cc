@@ -69,9 +69,11 @@ int SysIface::UringWait(int core, int ring_fd, unsigned to_submit, unsigned min_
   io_uring_getevents_arg arg;
   std::memset(&arg, 0, sizeof(arg));
   __kernel_timespec ts;
-  ts.tv_sec = timeout_ms / 1000;
-  ts.tv_nsec = static_cast<long long>(timeout_ms % 1000) * 1000000ll;
-  arg.ts = reinterpret_cast<uint64_t>(&ts);
+  if (timeout_ms >= 0) {
+    ts.tv_sec = timeout_ms / 1000;
+    ts.tv_nsec = static_cast<long long>(timeout_ms % 1000) * 1000000ll;
+    arg.ts = reinterpret_cast<uint64_t>(&ts);
+  }  // else no timespec: wait until min_complete completions arrive
   return static_cast<int>(syscall(__NR_io_uring_enter, ring_fd, to_submit, min_complete,
                                   IORING_ENTER_GETEVENTS | IORING_ENTER_EXT_ARG, &arg,
                                   sizeof(arg)));

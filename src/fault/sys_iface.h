@@ -74,9 +74,9 @@ class SysIface {
   // flush when completions are already pending).
   virtual int UringSubmit(int core, int ring_fd, unsigned to_submit);
   // Submit + wait in one enter(2): IORING_ENTER_GETEVENTS with an EXT_ARG
-  // timeout. This is the uring reactor's blocking point -- the kUringWait
-  // site carries the same kStall/kKill chaos semantics as kEpollWait,
-  // including the kKillReactor sentinel.
+  // timeout (none when timeout_ms < 0). This is the uring reactor's
+  // blocking point -- the kUringWait site carries the same kStall/kKill
+  // chaos semantics as kEpollWait, including the kKillReactor sentinel.
   virtual int UringWait(int core, int ring_fd, unsigned to_submit, unsigned min_complete,
                         int timeout_ms);
 };

@@ -43,6 +43,15 @@ void EpollBackend::UnwatchListen(int fd, uint64_t token) {
   epoll_ctl(ep_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
+bool EpollBackend::WatchDoorbell(int fd) {
+  // Edge-triggered: every eventfd write re-queues the item, so each ring is
+  // reported once and the never-read counter cannot re-report it.
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLET;
+  ev.data.u64 = kDoorbellToken;
+  return epoll_ctl(ep_, EPOLL_CTL_ADD, fd, &ev) == 0;
+}
+
 bool EpollBackend::ArmConn(int fd, uint32_t events, uint64_t token, bool first) {
   epoll_event ev{};
   ev.events = events;

@@ -26,6 +26,7 @@ class EpollBackend : public IoBackend {
 
   bool WatchListen(int fd, uint64_t token) override;
   void UnwatchListen(int fd, uint64_t token) override;
+  bool WatchDoorbell(int fd) override;
   bool ArmConn(int fd, uint32_t events, uint64_t token, bool first) override;
   void CancelConn(int fd, uint64_t token) override;
   int Wait(IoEvent* out, int max_events, int timeout_ms) override;

@@ -22,7 +22,8 @@
 //    complete after its connection closed and its handle was recycled),
 //    bits [0,32) the ConnHandle.
 //  - bit 62 set   = backend-internal bookkeeping (a cancel's own CQE);
-//    never surfaces as an IoEvent.
+//    never surfaces as an IoEvent -- except kDoorbellToken (bits 62 and
+//    61), the reactor's doorbell, which surfaces as an event of its own.
 //  - otherwise    = listen source: bits [0,32) the listen fd, bits [32,48)
 //    the source's watch generation (stale-terminal defense for re-armed
 //    multishot accepts).
@@ -47,6 +48,9 @@ bool ParseIoBackend(const char* name, IoBackendKind* out);
 
 inline constexpr uint64_t kConnTokenTag = 1ull << 63;
 inline constexpr uint64_t kInternalTokenTag = 1ull << 62;
+// The doorbell's token: no cancel carries bit 61 (it targets a conn or
+// listen token, neither of which sets it).
+inline constexpr uint64_t kDoorbellToken = kInternalTokenTag | (1ull << 61);
 
 inline uint64_t MakeConnToken(uint32_t handle, uint16_t gen) {
   return kConnTokenTag | (static_cast<uint64_t>(gen) << 32) | handle;
@@ -104,6 +108,13 @@ class IoBackend {
   // accept (its terminal CQE is dropped via the token generation).
   virtual void UnwatchListen(int fd, uint64_t token) = 0;
 
+  // Watches the reactor's doorbell, an eventfd other threads write to wake
+  // it: an EPOLLIN|EPOLLET registration (epoll) or a multishot poll
+  // (uring), so every write delivers one kDoorbellToken event and the
+  // counter never needs a draining read. Called once, before the first
+  // Wait; the engine never closes the fd.
+  virtual bool WatchDoorbell(int fd) = 0;
+
   // (Re-)arms `events` (EPOLLIN or EPOLLOUT) for a held connection.
   // `first` distinguishes ADD from MOD for epoll; uring ignores it (every
   // arm is a fresh one-shot POLL_ADD). False = the connection cannot be
@@ -113,9 +124,9 @@ class IoBackend {
   // drops the registration).
   virtual void CancelConn(int fd, uint64_t token) = 0;
 
-  // Blocks up to timeout_ms for events; returns the count filled into
-  // `out`, 0 on timeout/EINTR, -1 on a hard engine error, or
-  // fault::SysIface::kKillReactor when a chaos plan killed this reactor.
+  // Blocks up to timeout_ms (-1 = until an event) for events; returns the
+  // count filled into `out`, 0 on timeout/EINTR, -1 on a hard engine error,
+  // or fault::SysIface::kKillReactor when a chaos plan killed this reactor.
   // For uring this is also the single submission point: every SQE staged
   // since the last Wait goes to the kernel here, batched.
   virtual int Wait(IoEvent* out, int max_events, int timeout_ms) = 0;

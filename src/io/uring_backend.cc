@@ -133,6 +133,7 @@ void UringBackend::Shutdown() {
   }
   files_registered_ = false;
   registered_fds_.clear();
+  doorbell_fd_ = -1;
 }
 
 void UringBackend::RegisterListenFds(const std::vector<int>& fds) {
@@ -189,6 +190,16 @@ void UringBackend::UnwatchListen(int fd, uint64_t token) {
   }
 }
 
+bool UringBackend::WatchDoorbell(int fd) {
+  io_uring_sqe* sqe = GetSqe();
+  if (sqe == nullptr) {
+    return false;
+  }
+  doorbell_fd_ = fd;
+  PrepPollMultishot(sqe, fd, EPOLLIN, kDoorbellToken);
+  return true;
+}
+
 bool UringBackend::ArmConn(int fd, uint32_t events, uint64_t token, bool first) {
   (void)first;  // every arm is a fresh one-shot POLL_ADD
   io_uring_sqe* sqe = GetSqe();
@@ -211,6 +222,12 @@ int UringBackend::HarvestInto(IoEvent* out, int max_events) {
   int n = 0;
   io_uring_cqe cqe;
   while (n < max_events && cq_.Pop(&cqe)) {
+    if (cqe.user_data == kDoorbellToken && (cqe.flags & IORING_CQE_F_MORE) == 0 &&
+        cqe.res != -ECANCELED) {
+      // The kernel ended the doorbell's multishot poll (CQ overflow, say):
+      // arm a fresh one, or the reactor could sleep through the next ring.
+      WatchDoorbell(doorbell_fd_);
+    }
     if (TranslateCqe(cqe, &out[n])) {
       ++n;
     }

@@ -70,6 +70,7 @@ class UringBackend : public IoBackend {
 
   bool WatchListen(int fd, uint64_t token) override;
   void UnwatchListen(int fd, uint64_t token) override;
+  bool WatchDoorbell(int fd) override;
   bool ArmConn(int fd, uint32_t events, uint64_t token, bool first) override;
   void CancelConn(int fd, uint64_t token) override;
   int Wait(IoEvent* out, int max_events, int timeout_ms) override;
@@ -101,6 +102,7 @@ class UringBackend : public IoBackend {
 
   SubmitQueue sq_;
   CompletionQueue cq_;
+  int doorbell_fd_ = -1;
   bool files_registered_ = false;
   std::vector<int> registered_fds_;  // index = fixed-file slot
   uint64_t enters_ = 0;

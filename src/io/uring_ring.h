@@ -145,6 +145,14 @@ inline void PrepPollAdd(io_uring_sqe* sqe, int fd, uint32_t poll_mask, uint64_t 
   sqe->user_data = token;
 }
 
+// Multishot poll: completes once per wakeup of `fd` (IORING_CQE_F_MORE set
+// while it stays armed) -- the doorbell's watch, where each eventfd write
+// is one wakeup and the counter is never read.
+inline void PrepPollMultishot(io_uring_sqe* sqe, int fd, uint32_t poll_mask, uint64_t token) {
+  PrepPollAdd(sqe, fd, poll_mask, token);
+  sqe->len = IORING_POLL_ADD_MULTI;
+}
+
 // Async cancel of a pending SQE by its user_data. The cancel's OWN
 // completion is tagged internal and dropped at decode; the canceled op's
 // completion (-ECANCELED) is dropped by token/generation checks.
@@ -157,9 +165,17 @@ inline void PrepCancel(io_uring_sqe* sqe, uint64_t target_token) {
 
 // Decodes one CQE into an IoEvent. Returns false for completions the
 // reactor must never see: internal bookkeeping (cancels' own CQEs) and
-// canceled one-shot polls (their connection is already closed).
+// canceled one-shot polls (their connection is already closed). A doorbell
+// completion surfaces as a kDoorbellToken event whatever its result; re-
+// arming a terminated doorbell poll is the backend's business.
 inline bool TranslateCqe(const io_uring_cqe& cqe, IoEvent* out) {
   uint64_t token = cqe.user_data;
+  if (token == kDoorbellToken) {
+    *out = IoEvent{};
+    out->token = token;
+    out->events = EPOLLIN;
+    return true;
+  }
   if ((token & kInternalTokenTag) != 0) {
     return false;
   }

@@ -44,6 +44,9 @@ enum class RtLedger : uint8_t { kNone, kAccounted, kTimedOut };
   X(overflow_drops, "rt_overflow_drops", kCounter, kAlways, kAccounted, \
     "connections dropped on a full local queue") \
   X(epoll_wakeups, "rt_epoll_wakeups", kCounter, kAlways, kNone, "epoll_wait returns with work") \
+  /* The subset of those wakeups rung on the reactor's doorbell. */ \
+  X(doorbell_wakeups, "rt_doorbell_wakeups", kCounter, kAlways, kNone, \
+    "wakeups another thread rang on this reactor's doorbell") \
   X(transitions_to_busy, "rt_transitions_to_busy", kCounter, kAlways, kNone, \
     "high-watermark busy-bit sets") \
   X(transitions_to_nonbusy, "rt_transitions_to_nonbusy", kCounter, kAlways, kNone, \

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 
 #include "src/io/uring_backend.h"
@@ -178,6 +179,14 @@ void Reactor::Run() {
   for (ListenSource& src : sources_) {
     src.watching = io_->WatchListen(src.fd, io::MakeListenToken(src.fd, src.watch_gen));
   }
+  // The doorbell: without it nothing could wake a reactor that sleeps with
+  // no timeout, Stop() included.
+  bell_ = shared_->doorbells[static_cast<size_t>(index_)].get();
+  if (!io_->WatchDoorbell(bell_->fd())) {
+    std::fprintf(stderr, "rt: reactor %d: cannot watch its doorbell; not running\n", index_);
+    io_.reset();
+    return;
+  }
   open_head_ = kNullConn;
   open_count_ = 0;
   // The deadline wheel, anchored to the shared clock's current reading.
@@ -197,16 +206,15 @@ void Reactor::Run() {
   drop_bucket_.reset(
       new fault::TokenBucket(shared_->drop_budget_per_sec, std::chrono::steady_clock::now()));
 
+  auto start = std::chrono::steady_clock::now();
   bool migrate = shared_->director != nullptr && shared_->migrate_interval_ms > 0;
-  auto migrate_period = std::chrono::milliseconds(
-      migrate ? shared_->migrate_interval_ms : 1);
-  auto next_migrate = std::chrono::steady_clock::now() + migrate_period;
+  auto migrate_period = std::chrono::milliseconds(shared_->migrate_interval_ms);
+  next_migrate_ = migrate ? start + migrate_period : std::chrono::steady_clock::time_point::max();
 
   bool watchdog = shared_->domains != nullptr && shared_->watchdog_timeout_ms > 0;
   std::unique_ptr<fault::WatchdogMonitor> monitor;
-  auto watchdog_period = std::chrono::milliseconds(
-      watchdog ? std::max(1, shared_->watchdog_timeout_ms / 4) : 1);
-  auto next_watchdog = std::chrono::steady_clock::now() + watchdog_period;
+  auto watchdog_period = std::chrono::milliseconds(std::max(1, shared_->watchdog_timeout_ms / 4));
+  next_watchdog_ = watchdog ? start + watchdog_period : std::chrono::steady_clock::time_point::max();
   if (watchdog) {
     monitor.reset(new fault::WatchdogMonitor(
         shared_->domains, index_,
@@ -218,6 +226,9 @@ void Reactor::Run() {
   // per fd.
   io::IoEvent events[64];
   Accepted pending[64];  // uring CQE-delivered fds staged for AdmitBatch
+  int timeout_ms = 0;    // the first pass only polls
+  bool parked = false;
+  bool stole = false;  // the last idle pass stole: the next look is local
   while (!shared_->stop.load(std::memory_order_acquire)) {
     if (shared_->domains != nullptr) {
       shared_->domains->Beat(index_);
@@ -232,31 +243,37 @@ void Reactor::Run() {
       // completion engine's CQE pipeline are real connections and are
       // admitted below regardless.
       for (ListenSource& src : sources_) {
-        if (src.watching) {
-          io_->UnwatchListen(src.fd, io::MakeListenToken(src.fd, src.watch_gen));
-          ++src.watch_gen;
-          src.watching = false;
-        }
+        Unwatch(src);
       }
       drain_unwatched_ = true;
     }
-    // The 1 ms cap keeps stop and cross-ring work (stolen connections pushed
-    // by other shards) noticed even when our own shard is idle; the wheel's
-    // next deadline can only shorten the sleep below it.
+    // Sleeps until an fd or the doorbell fires, or the nearest deadline
+    // (see the sleep decision at the bottom of the loop).
     Prof(obs::hwprof::Phase::kEpollWait);
-    int n = io_->Wait(events, 64, NextWaitTimeoutMs());
+    int n = io_->Wait(events, 64, timeout_ms);
+    if (parked) {
+      bell_->Unpark();
+      parked = false;
+    }
     if (n == fault::SysIface::kKillReactor) {
       // The chaos plan killed this reactor: exit as if the thread died.
       // Deliberately no recovery, no draining -- the watchdog and the
       // surviving peers own everything from here.
       break;
     }
+    bool worked = false;  // an fd event (not only the doorbell) arrived
     if (n > 0) {
       Count(RtMetric::epoll_wakeups);
       int npend = 0;
+      bool rung = false;
       auto now = std::chrono::steady_clock::now();
       for (int i = 0; i < n; ++i) {
         const io::IoEvent& ev = events[i];
+        if (ev.token == io::kDoorbellToken) {
+          rung = true;
+          continue;
+        }
+        worked = true;
         if (io::IsConnToken(ev.token)) {
           ConnHandle handle = io::HandleOfToken(ev.token);
           PendingConn* conn = shared_->pool->Get(handle);
@@ -312,7 +329,7 @@ void Reactor::Run() {
         } else if (ev.error != 0 && current) {
           // The multishot accept terminated with an error: sorted like an
           // accept4 failure. The terminal CQE also sets rewatch below.
-          SortAcceptError(ev.error, src.fd);
+          SortAcceptError(ev.error, si);
         }
         if (ev.rewatch && current) {
           src.watching = false;  // RewatchSources re-arms once the gates allow
@@ -322,36 +339,56 @@ void Reactor::Run() {
         Prof(obs::hwprof::Phase::kAccept);
         AdmitBatch(pending, npend, now);
       }
+      if (rung) {
+        Count(RtMetric::doorbell_wakeups);
+      }
     } else if (n < 0) {
       break;  // hard engine error (the backends swallow EINTR themselves)
     }
     Prof(obs::hwprof::Phase::kServe);
     int served = ServeBatch();
-    if (n <= 0 && served == 0) {
-      // Nothing local and nothing accepted: one widened pass before going
-      // back to sleep (the paper's "polling" order).
-      ServeOne(/*idle=*/true);
-      FlushDequeues();
-    }
     Prof(obs::hwprof::Phase::kMaintenance);
     if (shared_->deadlines_enabled) {
       wheel_->Advance(shared_->clock->NowNs(),
                       [this](timer::TimerEntry* e) { OnDeadlineExpiry(e); });
     }
     auto now = std::chrono::steady_clock::now();
-    if (!io_->accepts_inline() && !drain_unwatched_) {
+    if (!drain_unwatched_) {
       RewatchSources(now);
     }
-    if (migrate && now >= next_migrate) {
+    if (now >= next_migrate_) {
       // The paper's long-term balancer: every 100 ms each (non-busy) core
-      // makes its own migration decision. The epoll timeout above bounds
-      // how late a tick can fire.
+      // makes its own migration decision. The tick bounds the sleep below.
       MigrationTick();
-      next_migrate += migrate_period;
+      next_migrate_ += migrate_period;
     }
-    if (watchdog && now >= next_watchdog) {
+    if (now >= next_watchdog_) {
       WatchdogTick(monitor.get());
-      next_watchdog += watchdog_period;
+      next_watchdog_ += watchdog_period;
+    }
+    // The sleep decision. Park first, then take the last look, so a push
+    // that lands after the look finds the flag and rings (doorbell.h). After
+    // an iteration that did work the look is at the rings this reactor
+    // serves; after an idle one (a timeout or a bare ring) it is the
+    // widened idle pass -- the paper's "polling" order, which is where a
+    // rung thief steals. Either finding work means poll again, not sleep;
+    // a steal's follow-up look is local, so a thief takes the connection it
+    // was rung for and sleeps unless rung again.
+    bell_->Park();
+    bool more;
+    if (worked || served > 0 || stole) {
+      more = ServedRingNonEmpty();
+      stole = false;
+    } else {
+      more = stole = ServeOne(/*idle=*/true);
+      FlushDequeues();
+    }
+    if (more) {
+      bell_->Unpark();
+      timeout_ms = 0;
+    } else {
+      parked = true;
+      timeout_ms = NextWaitTimeoutMs();
     }
   }
   Prof(obs::hwprof::Phase::kMaintenance);
@@ -426,6 +463,7 @@ void Reactor::TryFailover(int dead) {
     // loop never picks the dead core as a destination.
     shared_->policy->SetForcedBusy(dead, true);
     shared_->metrics->GaugeSet(shared_->ids[RtMetric::busy], dead, 1);
+    WakeIdlePeers();
   }
   if (shared_->director != nullptr) {
     NoteFailoverGroupMoves(shared_->director->FailOverCore(dead, shared_->policy, migrate_tick_));
@@ -507,8 +545,7 @@ void Reactor::ReleaseRecoveredAdoptions() {
   }
   for (size_t i = sources_.size(); i-- > base_sources_;) {
     if (!shared_->domains->IsDead(static_cast<int>(sources_[i].qi))) {
-      io_->UnwatchListen(sources_[i].fd,
-                         io::MakeListenToken(sources_[i].fd, sources_[i].watch_gen));
+      Unwatch(sources_[i]);
       sources_.erase(sources_.begin() + static_cast<long>(i));
     }
   }
@@ -526,6 +563,9 @@ void Reactor::RecordBusyFlip(size_t queue, size_t len_after) {
            .src = static_cast<int16_t>(queue),
            .ewma = shared_->policy->EwmaValue(static_cast<CoreId>(queue)),
            .qlen = static_cast<uint32_t>(len_after)});
+  }
+  if (now_busy) {
+    WakeIdlePeers();
   }
 }
 
@@ -566,8 +606,9 @@ bool Reactor::ShedOrDrop(int fd, size_t qi, std::chrono::steady_clock::time_poin
   return false;
 }
 
-void Reactor::FdExhaustionRescue(int listen_fd) {
+void Reactor::FdExhaustionRescue(size_t src_idx) {
   Count(RtMetric::accept_emfile);
+  int listen_fd = sources_[src_idx].fd;
   if (reserve_fd_ >= 0) {
     // Burn the reserve to accept exactly one connection and RST it: the
     // client gets a fast failure instead of hanging in a backlog no fd can
@@ -593,13 +634,20 @@ void Reactor::FdExhaustionRescue(int listen_fd) {
   backoff_ms_ = backoff_ms_ == 0 ? kBackoffFirstMs : std::min(backoff_ms_ * 2, kBackoffCapMs);
   backoff_until_ = std::chrono::steady_clock::now() + std::chrono::milliseconds(backoff_ms_);
   Count(RtMetric::accept_backoff);
+  Unwatch(sources_[src_idx]);
 }
 
 void Reactor::AcceptBatch(size_t src_idx) {
-  const ListenSource& src = sources_[src_idx];
+  ListenSource& src = sources_[src_idx];
+  if (!src.watching) {
+    return;  // unwatched earlier in this batch of events
+  }
   auto now = std::chrono::steady_clock::now();
   if (now < backoff_until_) {
-    return;  // fd-exhaustion backoff window: leave the backlog queued
+    // Fd-exhaustion backoff window: leave the backlog queued, and go dormant
+    // so the level-triggered fd does not wake us again until it ends.
+    Unwatch(src);
+    return;
   }
   int limit = shared_->accept_batch < kMaxAcceptBatch ? shared_->accept_batch : kMaxAcceptBatch;
 
@@ -625,7 +673,7 @@ void Reactor::AcceptBatch(size_t src_idx) {
     if (fd < 0) {
       // The skip budget bounds an injected errno burst to one batch's worth
       // of retries.
-      if (SortAcceptError(errno, src.fd) && ++soft_skips <= limit) {
+      if (SortAcceptError(errno, src_idx) && ++soft_skips <= limit) {
         continue;
       }
       break;  // EAGAIN (drained), fd exhaustion, or a hard error: retry next wakeup
@@ -676,7 +724,7 @@ uint32_t Reactor::RouteAccepted(const ListenSource& src, int fd, const sockaddr_
   return qi;
 }
 
-bool Reactor::SortAcceptError(int err, int listen_fd) {
+bool Reactor::SortAcceptError(int err, size_t src_idx) {
   // The connection behind an ECONNABORTED/EPROTO is gone, and EINTR aborted
   // nothing -- none of them says the listen socket is bad.
   switch (err) {
@@ -691,7 +739,7 @@ bool Reactor::SortAcceptError(int err, int listen_fd) {
       return true;
     case EMFILE:
     case ENFILE:
-      FdExhaustionRescue(listen_fd);
+      FdExhaustionRescue(src_idx);
       return false;
     default:
       return false;
@@ -754,9 +802,7 @@ void Reactor::AdmitBatch(const Accepted* batch, int n,
         // multishot SQE. Going dormant is the equivalent backpressure:
         // cancel the accept so later connections stay in the listen backlog
         // until the ring has room again (RewatchSources).
-        io_->UnwatchListen(src.fd, io::MakeListenToken(src.fd, src.watch_gen));
-        ++src.watch_gen;
-        src.watching = false;
+        Unwatch(src);
       }
       continue;
     }
@@ -782,9 +828,92 @@ void Reactor::AdmitBatch(const Accepted* batch, int n,
         shared_->policy->OnEnqueueBatch(static_cast<CoreId>(qi), entry.moved, entry.last_len)) {
       RecordBusyFlip(qi, entry.last_len);
     }
+    WakeForPush(qi, entry.last_len);
     entry.moved = 0;
   }
   enq_.touched.clear();
+}
+
+void Reactor::WakeForPush(uint32_t qi, size_t len_after) {
+  if (shared_->mode == RtMode::kAffinity && qi != static_cast<uint32_t>(index_)) {
+    // A cross-ring push (flow-group re-steer, or an adopted shard's accept):
+    // only its owner serves that ring, and a parked owner cannot see it.
+    // A dead owner serves nothing; its ring is forced busy for thieves.
+    if (shared_->domains != nullptr && shared_->domains->IsDead(static_cast<int>(qi))) {
+      WakeThief(qi);
+      return;
+    }
+    if (shared_->doorbells[qi]->Wake()) {
+      return;  // the owner was idle: it takes the whole ring, no thief needed
+    }
+  }
+  if (len_after >= 2) {
+    WakeThief(qi);
+  }
+}
+
+void Reactor::WakeThief(uint32_t qi) {
+  const int n = shared_->num_reactors;
+  if (shared_->mode != RtMode::kAffinity) {
+    for (int i = 1; i < n; ++i) {
+      Doorbell& bell = *shared_->doorbells[static_cast<size_t>((index_ + i) % n)];
+      if (bell.parked_hint() && bell.Wake()) {
+        return;
+      }
+    }
+    return;
+  }
+  for (const std::vector<CoreId>& peers : shared_->topo->PeerClasses(static_cast<CoreId>(qi))) {
+    for (CoreId c : peers) {
+      Doorbell& bell = *shared_->doorbells[static_cast<size_t>(c)];
+      if (c != index_ && bell.parked_hint() && !shared_->policy->IsBusy(c) && bell.Wake()) {
+        return;
+      }
+    }
+  }
+}
+
+void Reactor::WakeIdlePeers() {
+  for (int c = 0; c < shared_->num_reactors; ++c) {
+    Doorbell& bell = *shared_->doorbells[static_cast<size_t>(c)];
+    if (c != index_ && bell.parked_hint() && !shared_->policy->IsBusy(c)) {
+      bell.Wake();
+    }
+  }
+}
+
+bool Reactor::ServedRingNonEmpty() const {
+  switch (shared_->mode) {
+    case RtMode::kStock:
+      return shared_->queues[0]->size() > 0;
+    case RtMode::kFine:
+      for (const std::unique_ptr<AcceptRing>& ring : shared_->queues) {
+        if (ring->size() > 0) {
+          return true;
+        }
+      }
+      return false;
+    case RtMode::kAffinity:
+      if (shared_->queues[static_cast<size_t>(index_)]->size() > 0) {
+        return true;
+      }
+      for (size_t i = base_sources_; i < sources_.size(); ++i) {
+        if (shared_->queues[sources_[i].qi]->size() > 0) {
+          return true;
+        }
+      }
+      return false;
+  }
+  return false;
+}
+
+void Reactor::Unwatch(ListenSource& src) {
+  if (!src.watching) {
+    return;
+  }
+  io_->UnwatchListen(src.fd, io::MakeListenToken(src.fd, src.watch_gen));
+  ++src.watch_gen;
+  src.watching = false;
 }
 
 void Reactor::RewatchSources(std::chrono::steady_clock::time_point now) {
@@ -916,8 +1045,11 @@ bool Reactor::ServeOne(bool idle) {
         return true;
       }
       if (idle && !self_busy) {
+        // The widened scan takes a connection queued behind another -- the
+        // one a peer rang this reactor for (WakeForPush); a lone queued
+        // connection is its owner's next pop.
         return StealFrom(policy->PickAnyVictim(me, [this](CoreId c) {
-          return shared_->queues[static_cast<size_t>(c)]->size() > 0;
+          return shared_->queues[static_cast<size_t>(c)]->size() >= 2;
         }));
       }
       return false;
@@ -1147,20 +1279,29 @@ void Reactor::OnDeadlineExpiry(timer::TimerEntry* e) {
 }
 
 int Reactor::NextWaitTimeoutMs() {
-  constexpr int kWaitCapMs = 1;
-  if (!shared_->deadlines_enabled) {
-    return kWaitCapMs;
+  auto now = std::chrono::steady_clock::now();
+  auto wake = std::min(next_migrate_, next_watchdog_);
+  if (backoff_until_ > now) {
+    wake = std::min(wake, backoff_until_);  // then RewatchSources re-arms
   }
-  uint64_t next = wheel_->NextFireNs();
-  if (next == timer::TimerWheel::kNever) {
-    return kWaitCapMs;
+  constexpr uint64_t kNoBound = ~0ull;
+  uint64_t sleep_ns = kNoBound;
+  if (wake != std::chrono::steady_clock::time_point::max()) {
+    sleep_ns = wake > now ? ToNs(wake - now) : 0;
   }
-  uint64_t now_ns = shared_->clock->NowNs();
-  if (next <= now_ns) {
-    return 0;  // already due: poll, expire, then sleep for real
+  if (shared_->deadlines_enabled) {
+    uint64_t next = wheel_->NextFireNs();
+    if (next != timer::TimerWheel::kNever) {
+      sleep_ns = std::min(sleep_ns, shared_->clock->SleepNs(next));
+    }
   }
-  uint64_t ms = (next - now_ns + 999'999) / 1'000'000;
-  return ms < static_cast<uint64_t>(kWaitCapMs) ? static_cast<int>(ms) : kWaitCapMs;
+  if (sleep_ns == kNoBound) {
+    return -1;
+  }
+  // Round up: waking a little after a deadline is fine, waking before it
+  // is a wasted pass.
+  uint64_t ms = (sleep_ns + 999'999) / 1'000'000;
+  return ms < static_cast<uint64_t>(INT32_MAX) ? static_cast<int>(ms) : INT32_MAX;
 }
 
 int Reactor::EvictIdleConns(int max_evict) {

@@ -48,6 +48,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace_ring.h"
 #include "src/rt/accept_ring.h"
+#include "src/rt/doorbell.h"
 #include "src/rt/metric_table.h"
 #include "src/sim/stats.h"
 #include "src/steer/flow_director.h"
@@ -214,6 +215,9 @@ struct ReactorShared {
   // conns + empty rings or the deadline expires.
   std::atomic<bool> draining{false};
   std::atomic<bool> stop{false};
+  // One per reactor, indexed by reactor (owned by the Runtime; outlives the
+  // reactor threads). See doorbell.h for who rings and why.
+  std::vector<std::unique_ptr<Doorbell>> doorbells;
 };
 
 class Reactor {
@@ -257,11 +261,11 @@ class Reactor {
     int fd = -1;
     uint32_t qi = 0;
     RtListener* listener = nullptr;
-    // Completion backends only: whether a multishot accept is currently
-    // live for this fd (epoll registrations are permanent, so epoll leaves
-    // this true). Cleared by the accept's terminal CQE or a deliberate
-    // unwatch (kLeaveInBacklog dormancy); the per-iteration rewatch pass
-    // re-arms it.
+    // Whether the engine watches this fd: an epoll registration or a live
+    // multishot accept. Cleared by a deliberate unwatch (drain, fd-
+    // exhaustion backoff, kLeaveInBacklog dormancy on a completion engine)
+    // or a multishot accept's terminal CQE; the per-iteration rewatch pass
+    // re-arms it once its gates allow.
     bool watching = true;
     // Watch generation carried in this source's listen tokens: gates the
     // rewatch/error bits of late CQEs from a canceled accept epoch.
@@ -291,28 +295,33 @@ class Reactor {
   // engine delivered none (multishot accept), in which case one getpeername
   // recovers it. Also ends any fd-exhaustion backoff: fds are flowing.
   uint32_t RouteAccepted(const ListenSource& src, int fd, const sockaddr_storage* peer);
-  // Sorts a failed accept's errno, for both engines (accept4's errno or a
-  // terminated multishot accept's CQE error): EINTR, ECONNABORTED and EPROTO
-  // are counted soft skips (returns true: the listen socket is fine, keep
-  // draining); EMFILE/ENFILE runs FdExhaustionRescue; anything else
-  // (EAGAIN included) is neither.
-  bool SortAcceptError(int err, int listen_fd);
+  // Sorts a failed accept's errno on `sources_[src_idx]`, for both engines
+  // (accept4's errno or a terminated multishot accept's CQE error): EINTR,
+  // ECONNABORTED and EPROTO are counted soft skips (returns true: the listen
+  // socket is fine, keep draining); EMFILE/ENFILE runs FdExhaustionRescue;
+  // anything else (EAGAIN included) is neither.
+  bool SortAcceptError(int err, size_t src_idx);
   // Stages 2+3, shared by both engines: pool blocks + ring pushes per
   // accepted connection (ShedOrDrop on a full ring or dry pool), then one
-  // flush per touched ring (gauges + policy EWMA) and the batch counters.
+  // flush per touched ring (gauges + policy EWMA, WakeForPush) and the batch
+  // counters.
   // Under a completion backend with kLeaveInBacklog, a full ring also
   // unwatches the source (multishot accept would otherwise keep draining
   // the backlog the policy wants to keep queued).
   void AdmitBatch(const Accepted* batch, int n, std::chrono::steady_clock::time_point now);
-  // Completion backends: re-arm accepts on sources whose multishot
-  // terminated, once backoff and the kLeaveInBacklog ring gate allow.
+  // Re-arms dormant sources (both engines) once the fd-exhaustion backoff
+  // and the kLeaveInBacklog ring gate allow.
   void RewatchSources(std::chrono::steady_clock::time_point now);
+  // Stops the engine watching `src` (no-op when it is not watched).
+  void Unwatch(ListenSource& src);
   // Serves up to accept_batch queued connections; returns how many.
   // Dequeue-side policy reporting is flushed once at the end of the batch.
   int ServeBatch();
   // Picks and pops one connection per the mode's service discipline.
-  // `idle` marks the pre-sleep pass, where affinity mode widens its scan
-  // (the paper's polling path). Returns false when nothing was available.
+  // `idle` marks the pass before sleeping after an idle wakeup, where
+  // affinity mode widens its scan to any peer ring holding a connection
+  // queued behind another (the paper's polling path). Returns false when
+  // nothing was available.
   bool ServeOne(bool idle);
   // Affinity mode: pops one connection off `victim`'s ring (kNoCore = no
   // candidate) and serves it here as a steal. False when there was none.
@@ -380,9 +389,33 @@ class Reactor {
   // Timer-wheel expiry: classified RST close of the conn the entry is
   // embedded in.
   void OnDeadlineExpiry(timer::TimerEntry* e);
-  // The io_->Wait timeout: the 1 ms heartbeat/steal-visibility cap,
-  // shortened when the wheel's next deadline is nearer.
+  // The io_->Wait timeout of a reactor with nothing to do: until the
+  // nearest real deadline -- the wheel's next expiry (as far as the clock
+  // lets a sleeper trust it), the migration tick, the watchdog tick, the end
+  // of the accept backoff -- or -1 (sleep until an fd or the doorbell fires)
+  // when there is none. No fixed poll interval: cross-thread work arrives
+  // through the doorbell.
   int NextWaitTimeoutMs();
+
+  // --- sleeping and waking ---
+  // Whether a ring this reactor serves holds a connection: its own ring and
+  // the rings of shards it adopted (affinity), the shared ring (stock), any
+  // ring (fine). Checked after Park(): a reactor never blocks on one.
+  bool ServedRingNonEmpty() const;
+  // After a batch left `len_after` connections on ring `qi`: rings the
+  // owner of a ring this reactor pushed to across cores (or, if the owner
+  // is dead, a thief), and -- the paper's polling rule (Section 3.3.1) --
+  // one parked peer that may serve the ring when a connection queues behind
+  // another, unless the owner was parked and just rung (it is the local
+  // waiter that takes the ring).
+  void WakeForPush(uint32_t qi, size_t len_after);
+  // Rings one parked peer (not this reactor) that may serve ring `qi`: any
+  // peer in stock and fine, a non-busy one nearest to `qi` first in
+  // affinity.
+  void WakeThief(uint32_t qi);
+  // Rings every parked non-busy peer: a ring just turned busy (or dead) and
+  // is now open to their stealing.
+  void WakeIdlePeers();
   // Pool-pressure reaper: closes up to `max_evict` of the OLDEST idle conns
   // on this reactor's open list -- blocks owned by this core first, so the
   // freed block lands on the freelist the failing Alloc reads. Returns how
@@ -414,14 +447,21 @@ class Reactor {
   // RST-close: SO_LINGER{1,0} so the kernel sends a reset, telling the
   // client to fail fast rather than read a clean EOF.
   void RstClose(int fd);
-  // EMFILE/ENFILE rescue: burn the reserve fd to accept-and-RST one
-  // connection (so the backlog keeps moving), then re-arm the reserve and
-  // enter capped exponential accept backoff.
-  void FdExhaustionRescue(int listen_fd);
+  // EMFILE/ENFILE rescue on `sources_[src_idx]`: burn the reserve fd to
+  // accept-and-RST one connection (so the backlog keeps moving), then
+  // re-arm the reserve, enter capped exponential accept backoff and unwatch
+  // the source for the window (RewatchSources re-arms it; the window's end
+  // bounds the sleep). A level-triggered listen fd left watched would wake
+  // the reactor again at once, spinning it through the window.
+  void FdExhaustionRescue(size_t src_idx);
 
   int index_;
   ReactorShared* shared_;
+  Doorbell* bell_ = nullptr;  // shared_->doorbells[index_]
   uint64_t migrate_tick_ = 0;  // epochs elapsed on this reactor
+  // Due times of the periodic ticks; time_point::max() when disabled.
+  std::chrono::steady_clock::time_point next_migrate_{};
+  std::chrono::steady_clock::time_point next_watchdog_{};
   // This reactor's event engine (Run() scope). Built from shared_->backend;
   // a uring Init failure falls back to a private epoll engine so one
   // reactor's seccomp/rlimit quirk never takes the runtime down.

@@ -3,7 +3,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 
 #include "src/io/uring_backend.h"
 #include "src/rt/listener.h"
@@ -434,6 +436,14 @@ bool Runtime::Start(std::string* error) {
     }
   }
 
+  shared_.doorbells.clear();
+  for (int i = 0; i < config_.num_threads; ++i) {
+    shared_.doorbells.emplace_back(new Doorbell);
+    if (shared_.doorbells.back()->fd() < 0) {
+      *error = std::string("eventfd (reactor doorbell): ") + std::strerror(errno);
+      return abort_start();
+    }
+  }
   for (int i = 0; i < config_.num_threads; ++i) {
     reactors_.emplace_back(new Reactor(i, &shared_));
   }
@@ -463,6 +473,7 @@ void Runtime::Stop(int drain_deadline_ms) {
     auto start = std::chrono::steady_clock::now();
     auto deadline = start + std::chrono::milliseconds(drain_deadline_ms);
     shared_.draining.store(true, std::memory_order_release);
+    RingAll();  // a parked reactor would otherwise keep its sources watched
     for (;;) {
       bool quiet = metrics_->Total(shared_.ids[RtMetric::open_conns]) == 0;
       if (quiet) {
@@ -484,6 +495,7 @@ void Runtime::Stop(int drain_deadline_ms) {
                                                 .count()));
   }
   shared_.stop.store(true, std::memory_order_release);
+  RingAll();
   for (std::thread& t : threads_) {
     t.join();
   }
@@ -515,6 +527,12 @@ void Runtime::Stop(int drain_deadline_ms) {
   drained_at_stop_.fetch_add(drained, std::memory_order_acq_rel);
   shared_.draining.store(false, std::memory_order_release);
   started_ = false;
+}
+
+void Runtime::RingAll() {
+  for (const std::unique_ptr<Doorbell>& bell : shared_.doorbells) {
+    bell->Ring();
+  }
 }
 
 void Runtime::ReadRows(int core, RtMetricValues* out) const {

@@ -370,6 +370,9 @@ class Runtime {
   // Fills `out` from the registry: core `core`'s cells, or (core < 0) the
   // totals over all cores.
   void ReadRows(int core, RtMetricValues* out) const;
+  // Rings every reactor's doorbell: Stop() and drain start are news no
+  // reactor could see on its own fds.
+  void RingAll();
 
   RtConfig config_;
   uint16_t port_ = 0;

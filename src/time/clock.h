@@ -25,6 +25,9 @@ class ClockSource {
   virtual ~ClockSource() = default;
   // Monotonic nanoseconds. Thread-safe; called from every reactor.
   virtual uint64_t NowNs() = 0;
+  // How long a thread waiting for `deadline_ns` may sleep before it must
+  // read this clock again: 0 once the deadline is due.
+  virtual uint64_t SleepNs(uint64_t deadline_ns) = 0;
 };
 
 // The production clock: steady_clock passthrough. Stateless, so one shared
@@ -37,6 +40,11 @@ class MonotonicClock : public ClockSource {
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
   }
+  // Real time: the sleep may last the whole distance.
+  uint64_t SleepNs(uint64_t deadline_ns) override {
+    uint64_t now = NowNs();
+    return deadline_ns > now ? deadline_ns - now : 0;
+  }
   static MonotonicClock* Instance() {
     static MonotonicClock instance;
     return &instance;
@@ -48,8 +56,15 @@ class MonotonicClock : public ClockSource {
 // reading is merely a sample, never an ordering point).
 class ScriptedClock : public ClockSource {
  public:
+  static constexpr uint64_t kRereadNs = 1'000'000;
+
   explicit ScriptedClock(uint64_t start_ns = 0) : now_ns_(start_ns) {}
   uint64_t NowNs() override { return now_ns_.load(std::memory_order_acquire); }
+  // Scripted time jumps without any event a sleeper could wake on, so a
+  // sleeper re-reads it every millisecond while a deadline is pending.
+  uint64_t SleepNs(uint64_t deadline_ns) override {
+    return deadline_ns > NowNs() ? kRereadNs : 0;
+  }
   void Advance(uint64_t delta_ns) {
     now_ns_.fetch_add(delta_ns, std::memory_order_acq_rel);
   }

@@ -197,6 +197,31 @@ TEST(UringTranslateTest, InternalCompletionsNeverSurface) {
   EXPECT_FALSE(TranslateCqe(cqe, &ev));
 }
 
+// The doorbell rides an internal token but is the one internal completion
+// that surfaces: the reactor counts it as a wakeup another thread rang. No
+// cancel can carry its token (cancels tag a conn or listen token, which
+// never sets bit 61).
+TEST(UringTranslateTest, DoorbellCompletionSurfacesAsItsOwnEvent) {
+  IoEvent ev;
+  io_uring_cqe cqe{kDoorbellToken, EPOLLIN, IORING_CQE_F_MORE};
+  ASSERT_TRUE(TranslateCqe(cqe, &ev));
+  EXPECT_EQ(ev.token, kDoorbellToken);
+  EXPECT_EQ(ev.accepted_fd, -1);
+  EXPECT_FALSE(ev.rewatch);
+  EXPECT_NE(kInternalTokenTag | MakeConnToken(0xFFFFFFFFu, 0xFFFF), kDoorbellToken);
+  EXPECT_NE(kInternalTokenTag | MakeListenToken(0x7FFFFFFF, 0xFFFF), kDoorbellToken);
+}
+
+TEST(UringPrepTest, MultishotPollLayout) {
+  io_uring_sqe sqe = {};
+  PrepPollMultishot(&sqe, /*fd=*/9, EPOLLIN, kDoorbellToken);
+  EXPECT_EQ(sqe.opcode, IORING_OP_POLL_ADD);
+  EXPECT_EQ(sqe.fd, 9);
+  EXPECT_EQ(sqe.poll32_events, static_cast<uint32_t>(EPOLLIN));
+  EXPECT_EQ(sqe.len, IORING_POLL_ADD_MULTI);
+  EXPECT_EQ(sqe.user_data, kDoorbellToken);
+}
+
 TEST(UringTranslateTest, ConnPollCompletionCarriesReadinessMask) {
   IoEvent ev;
   uint64_t token = MakeConnToken(77, 4);

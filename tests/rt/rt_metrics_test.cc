@@ -40,6 +40,7 @@ const std::vector<Series>& AlwaysSeries() {
       {"rt_steals", "counter", "affinity-mode connection steals"},
       {"rt_overflow_drops", "counter", "connections dropped on a full local queue"},
       {"rt_epoll_wakeups", "counter", "epoll_wait returns with work"},
+      {"rt_doorbell_wakeups", "counter", "wakeups another thread rang on this reactor's doorbell"},
       {"rt_transitions_to_busy", "counter", "high-watermark busy-bit sets"},
       {"rt_transitions_to_nonbusy", "counter", "low-watermark busy-bit clears"},
       {"rt_conn_remote_frees", "counter",

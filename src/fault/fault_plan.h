@@ -40,15 +40,18 @@ enum class CallSite : uint8_t {
   // next enter, so submission faults degrade to latency, never loss).
   kUringSubmit = 8,
   kUringWait = 9,
+  // The epoll engine's accept-queue length query, one per accept drain.
+  kAcceptQueueLen = 10,
 };
-inline constexpr int kNumCallSites = 10;
+inline constexpr int kNumCallSites = 11;
 
 // Which engine's blocking site a reactor-targeting plan should name; see
 // ReactorStall/ReactorKill below. Validated against RtConfig::backend by
 // ValidateRtConfig -- a plan naming the wrong engine's site would never
 // fire, which is a config error, not a quiet no-op.
 inline constexpr bool IsEpollOnlySite(CallSite site) {
-  return site == CallSite::kEpollWait || site == CallSite::kEpollCtl;
+  return site == CallSite::kEpollWait || site == CallSite::kEpollCtl ||
+         site == CallSite::kAcceptQueueLen;
 }
 inline constexpr bool IsUringOnlySite(CallSite site) {
   return site == CallSite::kUringSubmit || site == CallSite::kUringWait;
@@ -84,6 +87,17 @@ struct FaultPlan {
   bool empty() const { return rules.empty(); }
 
   // --- canned plans for the chaos matrix ---
+
+  // Injects nothing: one rule that covers no calls. A non-empty plan makes
+  // the Runtime route every syscall through a FaultInjector, whose
+  // per-site calls() and errors() then measure a run's syscall budget.
+  static FaultPlan CountOnly() {
+    FaultPlan plan;
+    FaultRule rule;
+    rule.count = 0;
+    plan.rules.push_back(rule);
+    return plan;
+  }
 
   // `core`'s blocking wait stalls for `stall_ms` starting at its
   // `after_calls`-th call: a reactor wedge that later resolves. `site`

@@ -1,6 +1,7 @@
 #include "src/fault/injector.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <thread>
 
@@ -47,6 +48,8 @@ const char* CallSiteName(CallSite site) {
       return "uring_submit";
     case CallSite::kUringWait:
       return "uring_wait";
+    case CallSite::kAcceptQueueLen:
+      return "accept_queue_len";
   }
   return "?";
 }
@@ -57,10 +60,12 @@ FaultInjector::FaultInjector(const FaultPlan& plan, int num_cores, SysIface* rea
       real_(real),
       calls_(new std::atomic<uint64_t>[kNumCallSites * static_cast<size_t>(num_cores_)]),
       injected_(new std::atomic<uint64_t>[kNumCallSites * static_cast<size_t>(num_cores_)]),
+      errors_(new std::atomic<uint64_t>[kNumCallSites * static_cast<size_t>(num_cores_)]),
       killed_(new std::atomic<bool>[static_cast<size_t>(num_cores_)]) {
   for (size_t i = 0; i < kNumCallSites * static_cast<size_t>(num_cores_); ++i) {
     calls_[i].store(0, std::memory_order_relaxed);
     injected_[i].store(0, std::memory_order_relaxed);
+    errors_[i].store(0, std::memory_order_relaxed);
   }
   for (int c = 0; c < num_cores_; ++c) {
     killed_[c].store(false, std::memory_order_relaxed);
@@ -117,6 +122,14 @@ void FaultInjector::SleepFor(uint64_t duration_us) const {
   }
 }
 
+template <typename R>
+R FaultInjector::Forwarded(CallSite site, int core, R result) {
+  if (result < 0 && errno != EAGAIN && errno != EWOULDBLOCK && core >= 0 && core < num_cores_) {
+    errors_[SlotOf(site, core, num_cores_)].fetch_add(1, std::memory_order_relaxed);
+  }
+  return result;
+}
+
 int FaultInjector::Accept4(int core, int sockfd, sockaddr* addr, socklen_t* addrlen, int flags) {
   const FaultRule* rule = Match(CallSite::kAccept4, core);
   if (rule != nullptr) {
@@ -129,7 +142,22 @@ int FaultInjector::Accept4(int core, int sockfd, sockaddr* addr, socklen_t* addr
       SleepFor(rule->duration_us);
     }
   }
-  return real_->Accept4(core, sockfd, addr, addrlen, flags);
+  return Forwarded(CallSite::kAccept4, core, real_->Accept4(core, sockfd, addr, addrlen, flags));
+}
+
+int FaultInjector::AcceptQueueLen(int core, int listen_fd) {
+  const FaultRule* rule = Match(CallSite::kAcceptQueueLen, core);
+  if (rule != nullptr) {
+    NoteInjected(CallSite::kAcceptQueueLen, core);
+    if (rule->action == FaultAction::kErrno) {
+      errno = rule->err;
+      return -1;
+    }
+    if (rule->action == FaultAction::kDelay || rule->action == FaultAction::kStall) {
+      SleepFor(rule->duration_us);
+    }
+  }
+  return Forwarded(CallSite::kAcceptQueueLen, core, real_->AcceptQueueLen(core, listen_fd));
 }
 
 int FaultInjector::EpollWait(int core, int epfd, epoll_event* events, int maxevents,
@@ -153,18 +181,19 @@ int FaultInjector::EpollWait(int core, int epfd, epoll_event* events, int maxeve
         return kKillReactor;
     }
   }
-  return real_->EpollWait(core, epfd, events, maxevents, timeout_ms);
+  return Forwarded(CallSite::kEpollWait, core,
+                   real_->EpollWait(core, epfd, events, maxevents, timeout_ms));
 }
 
 int FaultInjector::Close(int core, int fd) {
   const FaultRule* rule = Match(CallSite::kClose, core);
   if (rule == nullptr) {
-    return real_->Close(core, fd);
+    return Forwarded(CallSite::kClose, core, real_->Close(core, fd));
   }
   NoteInjected(CallSite::kClose, core);
   if (rule->action == FaultAction::kDelay || rule->action == FaultAction::kStall) {
     SleepFor(rule->duration_us);
-    return real_->Close(core, fd);
+    return Forwarded(CallSite::kClose, core, real_->Close(core, fd));
   }
   // kErrno: report the failure but still release the descriptor -- a chaos
   // run that leaked one fd per injection would turn into an EMFILE test of
@@ -187,7 +216,8 @@ int FaultInjector::AttachFilter(int core, int sockfd, int level, int optname, co
       SleepFor(rule->duration_us);
     }
   }
-  return real_->AttachFilter(core, sockfd, level, optname, optval, optlen);
+  return Forwarded(CallSite::kAttachFilter, core,
+                   real_->AttachFilter(core, sockfd, level, optname, optval, optlen));
 }
 
 ssize_t FaultInjector::Read(int core, int fd, void* buf, size_t count) {
@@ -202,7 +232,7 @@ ssize_t FaultInjector::Read(int core, int fd, void* buf, size_t count) {
       SleepFor(rule->duration_us);
     }
   }
-  return real_->Read(core, fd, buf, count);
+  return Forwarded(CallSite::kRead, core, real_->Read(core, fd, buf, count));
 }
 
 ssize_t FaultInjector::Write(int core, int fd, const iovec* iov, int iovcnt) {
@@ -217,7 +247,7 @@ ssize_t FaultInjector::Write(int core, int fd, const iovec* iov, int iovcnt) {
       SleepFor(rule->duration_us);
     }
   }
-  return real_->Write(core, fd, iov, iovcnt);
+  return Forwarded(CallSite::kWrite, core, real_->Write(core, fd, iov, iovcnt));
 }
 
 int FaultInjector::EpollCtl(int core, int epfd, int op, int fd, epoll_event* event) {
@@ -234,7 +264,7 @@ int FaultInjector::EpollCtl(int core, int epfd, int op, int fd, epoll_event* eve
       SleepFor(rule->duration_us);
     }
   }
-  return real_->EpollCtl(core, epfd, op, fd, event);
+  return Forwarded(CallSite::kEpollCtl, core, real_->EpollCtl(core, epfd, op, fd, event));
 }
 
 int FaultInjector::Connect(int core, int sockfd, const sockaddr* addr, socklen_t addrlen) {
@@ -249,7 +279,7 @@ int FaultInjector::Connect(int core, int sockfd, const sockaddr* addr, socklen_t
       SleepFor(rule->duration_us);
     }
   }
-  return real_->Connect(core, sockfd, addr, addrlen);
+  return Forwarded(CallSite::kConnect, core, real_->Connect(core, sockfd, addr, addrlen));
 }
 
 int FaultInjector::UringSubmit(int core, int ring_fd, unsigned to_submit) {
@@ -266,7 +296,7 @@ int FaultInjector::UringSubmit(int core, int ring_fd, unsigned to_submit) {
       SleepFor(rule->duration_us);
     }
   }
-  return real_->UringSubmit(core, ring_fd, to_submit);
+  return Forwarded(CallSite::kUringSubmit, core, real_->UringSubmit(core, ring_fd, to_submit));
 }
 
 int FaultInjector::UringWait(int core, int ring_fd, unsigned to_submit, unsigned min_complete,
@@ -290,7 +320,8 @@ int FaultInjector::UringWait(int core, int ring_fd, unsigned to_submit, unsigned
         return kKillReactor;
     }
   }
-  return real_->UringWait(core, ring_fd, to_submit, min_complete, timeout_ms);
+  return Forwarded(CallSite::kUringWait, core,
+                   real_->UringWait(core, ring_fd, to_submit, min_complete, timeout_ms));
 }
 
 InjectorStats FaultInjector::Stats() const {
@@ -310,6 +341,13 @@ uint64_t FaultInjector::calls(CallSite site, int core) const {
     return 0;
   }
   return calls_[SlotOf(site, core, num_cores_)].load(std::memory_order_relaxed);
+}
+
+uint64_t FaultInjector::errors(CallSite site, int core) const {
+  if (core < 0 || core >= num_cores_) {
+    return 0;
+  }
+  return errors_[SlotOf(site, core, num_cores_)].load(std::memory_order_relaxed);
 }
 
 }  // namespace fault

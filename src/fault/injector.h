@@ -55,6 +55,7 @@ class FaultInjector : public SysIface {
   void set_on_inject(std::function<void(CallSite, int core)> fn) { on_inject_ = std::move(fn); }
 
   int Accept4(int core, int sockfd, sockaddr* addr, socklen_t* addrlen, int flags) override;
+  int AcceptQueueLen(int core, int listen_fd) override;
   int EpollWait(int core, int epfd, epoll_event* events, int maxevents, int timeout_ms) override;
   int Close(int core, int fd) override;
   int AttachFilter(int core, int sockfd, int level, int optname, const void* optval,
@@ -75,6 +76,12 @@ class FaultInjector : public SysIface {
 
   InjectorStats Stats() const;
   uint64_t calls(CallSite site, int core) const;
+  // Forwarded calls at (site, core) that the real syscall failed with an
+  // errno other than EAGAIN/EWOULDBLOCK -- a reset read, a refused connect,
+  // a failed queue query. Injected failures are not counted here; with a
+  // plan that injects nothing (FaultPlan::CountOnly) this and calls() make
+  // the injector a counting passthrough.
+  uint64_t errors(CallSite site, int core) const;
 
  private:
   // The first rule firing for this call, or null. Advances the call counter.
@@ -82,16 +89,20 @@ class FaultInjector : public SysIface {
   void NoteInjected(CallSite site, int core);
   // kDelay/kStall body: sliced, stop-interruptible sleep.
   void SleepFor(uint64_t duration_us) const;
+  // Books a real call's result into errors_ and hands it back unchanged.
+  template <typename R>
+  R Forwarded(CallSite site, int core, R result);
 
   FaultPlan plan_;
   int num_cores_;
   SysIface* real_;
   const std::atomic<bool>* stop_ = nullptr;
   std::function<void(CallSite, int core)> on_inject_;
-  // [site][core] call counters and injected counters; fixed-size slabs so
-  // the hot path stays allocation-free.
+  // [site][core] call, injected and real-error counters; fixed-size slabs
+  // so the hot path stays allocation-free.
   std::unique_ptr<std::atomic<uint64_t>[]> calls_;
   std::unique_ptr<std::atomic<uint64_t>[]> injected_;
+  std::unique_ptr<std::atomic<uint64_t>[]> errors_;
   std::unique_ptr<std::atomic<bool>[]> killed_;  // sticky per-core kill latch
 };
 

@@ -1,6 +1,8 @@
 #include "src/fault/sys_iface.h"
 
 #include <linux/io_uring.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 
@@ -13,6 +15,16 @@ namespace fault {
 int SysIface::Accept4(int core, int sockfd, sockaddr* addr, socklen_t* addrlen, int flags) {
   (void)core;
   return accept4(sockfd, addr, addrlen, flags);
+}
+
+int SysIface::AcceptQueueLen(int core, int listen_fd) {
+  (void)core;
+  tcp_info info;
+  socklen_t len = sizeof(info);
+  if (getsockopt(listen_fd, IPPROTO_TCP, TCP_INFO, &info, &len) != 0) {
+    return -1;
+  }
+  return static_cast<int>(info.tcpi_unacked);
 }
 
 int SysIface::EpollWait(int core, int epfd, epoll_event* events, int maxevents, int timeout_ms) {

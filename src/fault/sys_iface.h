@@ -3,12 +3,18 @@
 // The runtime's failure story (watchdog, failover, shaped overload) is only
 // testable if its failure triggers are reproducible. Real EMFILE storms,
 // stalled cores, and flaky accept(2)s cannot be scheduled from a unit test,
-// so every syscall the reactor's fate depends on -- accept4, epoll_wait,
-// close, and the SO_ATTACH_REUSEPORT_CBPF attach -- is routed through this
-// one-virtual-call-deep interface. The default implementation is a pure
-// passthrough (DefaultSys(), a process-wide singleton with no state); chaos
-// runs substitute fault::FaultInjector, which consults a seeded, per-core,
-// per-call-site FaultPlan and is deterministic enough to replay in CI.
+// so every syscall the reactor's fate depends on goes through this
+// one-virtual-call-deep interface:
+//  - the accept path: accept4 and the listen socket's accept-queue length;
+//  - the engines' blocking points and plumbing: epoll_wait, epoll_ctl, and
+//    the io_uring enter(2) sites;
+//  - the request/response data path: read and the gathered send;
+//  - close, and the SO_ATTACH_REUSEPORT_CBPF attach;
+//  - the load client's connect(2).
+// The default implementation is a pure passthrough (DefaultSys(), a
+// process-wide singleton with no state); chaos runs substitute
+// fault::FaultInjector, which consults a seeded, per-core, per-call-site
+// FaultPlan and is deterministic enough to replay in CI.
 //
 // Every method takes the calling reactor's core index first: the injector
 // keys its schedules by (call site, core), and the passthrough ignores it.
@@ -36,6 +42,11 @@ class SysIface {
   virtual ~SysIface() = default;
 
   virtual int Accept4(int core, int sockfd, sockaddr* addr, socklen_t* addrlen, int flags);
+  // How many connections wait in the TCP listen socket's accept queue
+  // (getsockopt TCP_INFO, whose tcpi_unacked is the listener's
+  // sk_ack_backlog), or -1 with errno -- e.g. EOPNOTSUPP on a non-TCP
+  // socket. Bounds an accept drain so it never ends in a failing accept4.
+  virtual int AcceptQueueLen(int core, int listen_fd);
   virtual int EpollWait(int core, int epfd, epoll_event* events, int maxevents, int timeout_ms);
   // Always releases the fd, even when reporting an injected error -- chaos
   // runs must not leak descriptors.

@@ -649,11 +649,28 @@ void Reactor::AcceptBatch(size_t src_idx) {
     Unwatch(src);
     return;
   }
-  int limit = shared_->accept_batch < kMaxAcceptBatch ? shared_->accept_batch : kMaxAcceptBatch;
+  const int cap =
+      shared_->accept_batch < kMaxAcceptBatch ? shared_->accept_batch : kMaxAcceptBatch;
+  int limit = cap;
+  if (!src.listener->is_unix) {
+    // Ask the kernel how many connections are ready, and accept exactly
+    // those (up to the batch cap): a drain that runs until EAGAIN pays for
+    // one failing accept4 -- which allocates and frees an fd and a file
+    // before it looks at the queue -- on every readiness report, and at
+    // short-connection rates most reports carry one connection. Zero skips
+    // the drain (a stock-mode herd loser). A failed query, or a UNIX
+    // listener (no TCP_INFO), keeps the unbounded drain below.
+    int ready = shared_->sys->AcceptQueueLen(index_, src.fd);
+    if (ready >= 0 && ready < limit) {
+      limit = ready;
+    }
+  }
 
-  // Stage 1: drain the kernel queue until EAGAIN (or the cap) into a stack
-  // array -- no bookkeeping between accept4 calls beyond routing, so the
-  // kernel side is drained as fast as the syscall allows.
+  // Stage 1: accept up to `limit` connections into a stack array -- no
+  // bookkeeping between accept4 calls beyond routing, so the kernel side is
+  // drained as fast as the syscall allows. EAGAIN ends the drain early: the
+  // unbounded drain's normal end, or a herd peer that took a connection
+  // the count included.
   Accepted batch[kMaxAcceptBatch];
   int n = 0;
   int soft_skips = 0;
@@ -673,10 +690,10 @@ void Reactor::AcceptBatch(size_t src_idx) {
     if (fd < 0) {
       // The skip budget bounds an injected errno burst to one batch's worth
       // of retries.
-      if (SortAcceptError(errno, src_idx) && ++soft_skips <= limit) {
+      if (SortAcceptError(errno, src_idx) && ++soft_skips <= cap) {
         continue;
       }
-      break;  // EAGAIN (drained), fd exhaustion, or a hard error: retry next wakeup
+      break;  // EAGAIN, fd exhaustion, or a hard error: retry next wakeup
     }
     batch[n].fd = fd;
     batch[n].qi = RouteAccepted(src, fd, &peer);
@@ -1123,9 +1140,6 @@ void Reactor::Serve(ConnHandle handle, bool local) {
   OpenListAdd(handle, conn);
   ++open_count_;
   cells_[RtMetric::open_conns]->store(open_count_, std::memory_order_relaxed);
-  if (shared_->trace != nullptr) {
-    Trace({.type = obs::TraceEventType::kConnOpen, .src = static_cast<int16_t>(st.listener)});
-  }
   // The absolute lifetime cap starts at first service touch and never
   // re-arms; it rides in the pool block like the phase timer, on THIS
   // reactor's wheel (the conn is pinned here until close).
@@ -1144,9 +1158,12 @@ void Reactor::Serve(ConnHandle handle, bool local) {
 void Reactor::DriveConn(ConnHandle handle, uint32_t ev_events) {
   PendingConn* conn = shared_->pool->Get(handle);
   svc::ConnState& st = conn->svc;
-  if ((ev_events & (EPOLLERR | EPOLLHUP)) != 0 && (ev_events & (EPOLLIN | EPOLLOUT)) == 0) {
-    // Pure error readiness (peer RST with nothing readable): no callback
-    // could make progress, so close directly. OnClose still runs.
+  if ((ev_events & EPOLLERR) != 0 || (ev_events & (EPOLLIN | EPOLLOUT)) == 0) {
+    // The socket has a pending error (a peer RST, which also reports
+    // EPOLLIN) or is hung up with nothing readable: the handler's next read
+    // or send could only fail, and a reply could not reach the peer. Close
+    // directly -- an orderly close, booked as served, exactly as the
+    // handler's ECONNRESET path books it. OnClose still runs.
     CloseConn(handle, conn, /*rst=*/false);
     return;
   }
@@ -1367,11 +1384,6 @@ void Reactor::CloseConn(ConnHandle handle, PendingConn* conn, bool rst,
   OpenListRemove(handle, conn);
   --open_count_;
   cells_[RtMetric::open_conns]->store(open_count_, std::memory_order_relaxed);
-  if (shared_->trace != nullptr) {
-    Trace({.type = obs::TraceEventType::kConnClose,
-           .src = static_cast<int16_t>(st.listener),
-           .qlen = st.rounds_done});
-  }
   if (rst) {
     RstClose(conn->fd);
   } else {

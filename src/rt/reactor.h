@@ -16,8 +16,9 @@
 //
 // Hot-path discipline (the Table 3 refactor): the reactor loop is batched
 // and allocation-free in steady state --
-//  - accept4 is drained until EAGAIN (or the batch cap) into a stack
-//    array; each connection gets a PendingConn block from the accepting
+//  - accept4 takes the connections the kernel reports ready (at most the
+//    batch cap) into a stack array, so no drain ends in a failing call;
+//    each connection gets a PendingConn block from the accepting
 //    core's slab pool and its 32-bit handle is pushed onto the target
 //    ring (no mutex, no heap),
 //  - queue lengths / EWMA updates are reported to the BalancePolicy once
@@ -283,10 +284,12 @@ class Reactor {
     uint32_t src;
   };
 
-  // Readiness-backend accept path: drains accept4 on `sources_[src_idx]`
-  // until EAGAIN or the batch limit into a stack array (stage 1), then
-  // admits via AdmitBatch. A reactor normally drains only its own sources;
-  // after a failover it also drains adopted shards.
+  // Readiness-backend accept path: accepts the connections the kernel
+  // reports ready on `sources_[src_idx]` (SysIface::AcceptQueueLen), at most
+  // accept_batch, into a stack array (stage 1), then admits them via
+  // AdmitBatch. Without a count (a UNIX listener, a failed query) it drains
+  // until EAGAIN or the batch limit. A reactor normally drains only its own
+  // sources; after a failover it also drains adopted shards.
   void AcceptBatch(size_t src_idx);
   // The ring an accepted connection queues on, for both engines: the
   // source's ring, or -- on the steered primary TCP listener -- the ring of
@@ -332,7 +335,7 @@ class Reactor {
   // reactor's open list + epoll set until a close verdict.
   void Serve(ConnHandle handle, bool local);
   // Epoll readiness on a held connection: run the phase-appropriate handler
-  // callback and apply its verdict.
+  // callback and apply its verdict, or close at once on an error event.
   void DriveConn(ConnHandle handle, uint32_t ev_events);
   // Applies a handler verdict: (re-)arm epoll or close the connection.
   void Finish(ConnHandle handle, PendingConn* conn, svc::Verdict verdict);

@@ -2,7 +2,9 @@
 // state machine, the watchdog monitor, and the overload token bucket. All
 // time here is faked (time points are passed in), so nothing sleeps.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -46,6 +48,10 @@ class FakeSys : public SysIface {
   }
   ssize_t Read(int /*core*/, int /*fd*/, void* /*buf*/, size_t count) override {
     ++reads;
+    if (read_errno != 0) {
+      errno = read_errno;
+      return -1;
+    }
     return static_cast<ssize_t>(count);
   }
   ssize_t Write(int /*core*/, int /*fd*/, const iovec* iov, int iovcnt) override {
@@ -74,6 +80,7 @@ class FakeSys : public SysIface {
   int epoll_ctls = 0;
   int connects = 0;
   int last_closed = -1;
+  int read_errno = 0;  // non-zero: Read fails with it, like a real socket
 };
 
 TEST(FaultInjectorTest, ErrnoWindowCoversExactlyTheScheduledCalls) {
@@ -256,6 +263,66 @@ TEST(SysIfaceTest, PassthroughWriteGathersEveryBufferInOrder) {
   EXPECT_EQ(-1, DefaultSys()->Write(0, sv[0], iov, 2));
   EXPECT_EQ(EPIPE, errno);
   close(sv[0]);
+}
+
+// The queue query reads a TCP listener's accept backlog: connections the
+// kernel completed and nobody accepted yet. A UNIX socket has no TCP_INFO.
+TEST(SysIfaceTest, PassthroughAcceptQueueLenCountsReadyConnections) {
+  int listen_fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(0, bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)));
+  ASSERT_EQ(0, listen(listen_fd, 16));
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(0, getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len));
+  EXPECT_EQ(0, DefaultSys()->AcceptQueueLen(0, listen_fd));
+
+  std::vector<int> clients;
+  for (int i = 0; i < 3; ++i) {
+    int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_EQ(0, connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)));
+    clients.push_back(fd);
+  }
+  EXPECT_EQ(3, DefaultSys()->AcceptQueueLen(0, listen_fd));
+  int accepted = accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+  ASSERT_GE(accepted, 0);
+  EXPECT_EQ(2, DefaultSys()->AcceptQueueLen(0, listen_fd));
+  close(accepted);
+  for (int fd : clients) {
+    close(fd);
+  }
+  close(listen_fd);
+
+  int sv[2];
+  ASSERT_EQ(0, socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv));
+  EXPECT_EQ(-1, DefaultSys()->AcceptQueueLen(0, sv[0]));
+  close(sv[0]);
+  close(sv[1]);
+}
+
+// errors() books the real call's failures other than would-block; an
+// injected failure never reached the real call and is not among them.
+TEST(FaultInjectorTest, ErrorsCountRealFailuresOnly) {
+  FakeSys sys;
+  FaultPlan plan = FaultPlan::CountOnly();
+  FaultInjector injector(plan, /*num_cores=*/1, &sys);
+  char buf[8];
+  EXPECT_EQ(8, injector.Read(0, 3, buf, sizeof(buf)));
+  sys.read_errno = EAGAIN;
+  EXPECT_EQ(-1, injector.Read(0, 3, buf, sizeof(buf)));
+  sys.read_errno = ECONNRESET;
+  EXPECT_EQ(-1, injector.Read(0, 3, buf, sizeof(buf)));
+  EXPECT_EQ(3u, injector.calls(CallSite::kRead, 0));
+  EXPECT_EQ(1u, injector.errors(CallSite::kRead, 0));
+  EXPECT_EQ(0u, injector.Stats().total());
+
+  FaultInjector failing(FaultPlan::ErrnoBurst(CallSite::kRead, 0, EIO, 0, 1), 1, &sys);
+  errno = 0;
+  EXPECT_EQ(-1, failing.Read(0, 3, buf, sizeof(buf)));
+  EXPECT_EQ(EIO, errno);
+  EXPECT_EQ(0u, failing.errors(CallSite::kRead, 0));
 }
 
 TEST(FaultInjectorTest, InjectedEpollCtlFailsWithoutArming) {
